@@ -19,7 +19,7 @@ generated — before a communicator will accept it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ class RankGroup:
 
     ``representatives`` are the members executed concretely; the
     remaining members are modelled, each mirroring one representative
-    (its *proxy*, assigned round-robin in rank order).
+    (its *proxy*, assigned round-robin in member order).
     """
 
     name: str
@@ -48,12 +48,41 @@ class RankGroup:
     def modeled_count(self) -> int:
         return len(self.members) - len(self.representatives)
 
+    @cached_property
+    def modeled_view(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ranks, positions)``: the modelled members sorted by rank,
+        and each one's index among the modelled members in member order
+        (its round-robin position, so its proxy is
+        ``representatives[position % len(representatives)]``).
+
+        Read-only: one partition's groups are shared by every
+        communicator built on it.
+        """
+        members = np.asarray(self.members, dtype=np.int64)
+        modeled = members[~np.isin(members, self.representatives)]
+        positions = np.argsort(modeled, kind="stable")
+        ranks = modeled[positions]
+        ranks.flags.writeable = False
+        positions.flags.writeable = False
+        return ranks, positions
+
+    def proxy_of(self, rank: int) -> int:
+        """Proxy representative of member *rank* (a representative is its
+        own proxy): one binary search over :attr:`modeled_view`."""
+        ranks, positions = self.modeled_view
+        j = int(np.searchsorted(ranks, rank))
+        reps = self.representatives
+        if j < ranks.size and ranks[j] == rank:
+            return reps[int(positions[j]) % len(reps)]
+        if rank in reps:
+            return rank
+        raise KeyError(f"rank {rank} is not a member of group {self.name!r}")
+
     def proxy_assignment(self) -> dict[int, int]:
         """Proxy representative of each modelled member (round-robin)."""
-        reps = self.representatives
-        rep_set = set(reps)
-        modeled = [m for m in self.members if m not in rep_set]
-        return {m: reps[i % len(reps)] for i, m in enumerate(modeled)}
+        ranks, positions = self.modeled_view
+        reps = np.asarray(self.representatives, dtype=np.int64)
+        return dict(zip(ranks.tolist(), reps[positions % reps.size].tolist()))
 
     def proxy_counts(self) -> dict[int, int]:
         """Modelled members mirrored by each representative.
@@ -93,19 +122,23 @@ class RankPartition:
 
     @cached_property
     def group_of(self) -> np.ndarray:
-        """Group index of every global rank (``(nranks,)`` int array)."""
+        """Group index of every global rank (``(nranks,)`` int array,
+        read-only)."""
         out = np.empty(self.nranks, dtype=np.int64)
         for gi, g in enumerate(self.groups):
             out[list(g.members)] = gi
+        out.flags.writeable = False
         return out
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """Ranks each live rank stands for (itself + proxied modelled)."""
+        """Ranks each live rank stands for (itself + proxied modelled),
+        read-only."""
         w = np.ones(self.nlive, dtype=np.int64)
         for g in self.groups:
             for rep, n in g.proxy_counts().items():
                 w[self.live_index[rep]] += n
+        w.flags.writeable = False
         return w
 
     @property
@@ -133,7 +166,7 @@ def verify_assignments(partition: RankPartition) -> None:
         raise PartitionError("partition needs at least one rank")
     if not partition.groups:
         raise PartitionError("partition has no groups")
-    seen = np.zeros(partition.nranks, dtype=np.int64)
+    arrays = []
     for g in partition.groups:
         if not g.members:
             raise PartitionError(f"group {g.name!r} has no members")
@@ -154,7 +187,8 @@ def verify_assignments(partition: RankPartition) -> None:
                        members).all():
             raise PartitionError(
                 f"group {g.name!r} names representatives outside its members")
-        np.add.at(seen, members, 1)
+        arrays.append(members)
+    seen = np.bincount(np.concatenate(arrays), minlength=partition.nranks)
     uncovered = np.flatnonzero(seen == 0)
     if uncovered.size:
         raise PartitionError(
@@ -196,23 +230,28 @@ def partition_from_labels(labels: Sequence[Hashable], *,
         counts = np.bincount(codes, minlength=uniq.size)
         by_code = np.argsort(codes, kind="stable")
         starts = np.concatenate(([0], np.cumsum(counts)))
-        groups = tuple(
-            RankGroup(name=str(uniq[gi]),
-                      members=(members := tuple(
-                          by_code[starts[gi]:starts[gi + 1]].tolist())),
-                      representatives=members[:live_per_group])
-            for gi in sorted(range(uniq.size), key=lambda i: str(uniq[i]))
-        )
-        return RankPartition(nranks=arr.size, groups=groups)
+        return _partition_of_classes(
+            arr.size, [(str(u), by_code[starts[gi]:starts[gi + 1]])
+                       for gi, u in enumerate(uniq)], live_per_group)
     by_label: dict[Hashable, list[int]] = {}
     for rank, lab in enumerate(labels):
         by_label.setdefault(lab, []).append(rank)
-    groups = tuple(
-        RankGroup(name=str(lab), members=tuple(members),
-                  representatives=tuple(members[:live_per_group]))
-        for lab, members in sorted(by_label.items(), key=lambda kv: str(kv[0]))
-    )
-    return RankPartition(nranks=len(labels), groups=groups)
+    return _partition_of_classes(
+        len(labels), [(str(lab), np.asarray(members, dtype=np.int64))
+                      for lab, members in by_label.items()], live_per_group)
+
+
+def _partition_of_classes(nranks: int,
+                          classes: Sequence[tuple[str, np.ndarray]],
+                          live_per_group: int) -> RankPartition:
+    """One group per ``(name, ranks)`` class, ordered by name (stable),
+    members in rank order, the lowest ``live_per_group`` of them its
+    representatives."""
+    groups = []
+    for name, ranks in sorted(classes, key=lambda kv: kv[0]):
+        members = tuple(ranks.tolist())
+        groups.append(RankGroup(name, members, members[:live_per_group]))
+    return RankPartition(nranks=nranks, groups=tuple(groups))
 
 
 @dataclass(frozen=True)
@@ -247,6 +286,16 @@ class RankGroupPartitioner:
     def partition(self, nranks: int, *,
                   decomposition: BlockDecomposition | None = None,
                   ranks_per_node: int = 1) -> RankPartition:
+        """The verified partition of *nranks* ranks.
+
+        Built once per machine shape and shared: every communicator of a
+        sweep over one machine reads the same (immutable) partition.
+        """
+        return _partition_for_shape(self, int(nranks), decomposition,
+                                    int(ranks_per_node))
+
+    def _build(self, nranks: int, decomposition: BlockDecomposition | None,
+               ranks_per_node: int) -> RankPartition:
         if nranks < 1:
             raise PartitionError("need at least one rank")
         strategy = self.strategy
@@ -264,33 +313,33 @@ class RankGroupPartitioner:
                 raise PartitionError(
                     f"decomposition covers {decomposition.nranks} ranks, "
                     f"communicator has {nranks}")
-            labels = decomposition.boundary_classes()
-        elif strategy == "node-role":
-            labels = self._node_role_labels(nranks, ranks_per_node)
+            return partition_from_labels(decomposition.boundary_classes(),
+                                         live_per_group=self.live_per_group)
+        if strategy == "node-role":
+            # class code = node position (first / mid / last) x 2 + follower
+            ranks = np.arange(nranks, dtype=np.int64)
+            node = ranks // ranks_per_node
+            last_node = (nranks - 1) // ranks_per_node
+            pos = np.where(node == 0, 0, np.where(node == last_node, 2, 1))
+            codes = pos * 2 + (ranks % ranks_per_node != 0)
+            names = [f"{p}-{r}" for p in ("first", "mid", "last")
+                     for r in ("leader", "follower")]
         else:
-            labels = np.full(nranks, "interior", dtype="<U8")
-            labels[-1] = "last"
-            labels[0] = "first"  # wins over "last" when nranks == 1
-        return partition_from_labels(labels,
-                                     live_per_group=self.live_per_group)
+            codes = np.ones(nranks, dtype=np.int64)
+            codes[-1] = 2
+            codes[0] = 0  # "first" wins over "last" when nranks == 1
+            names = ["first", "interior", "last"]
+        classes = [(name, members) for c, name in enumerate(names)
+                   if (members := np.flatnonzero(codes == c)).size]
+        return _partition_of_classes(nranks, classes, self.live_per_group)
 
-    @staticmethod
-    def _node_role(rank: int, nranks: int, ranks_per_node: int) -> str:
-        node = rank // ranks_per_node
-        last_node = (nranks - 1) // ranks_per_node
-        pos = ("first" if node == 0
-               else ("last" if node == last_node else "mid"))
-        role = "leader" if rank % ranks_per_node == 0 else "follower"
-        return f"{pos}-{role}"
 
-    @staticmethod
-    def _node_role_labels(nranks: int, ranks_per_node: int) -> np.ndarray:
-        """Vectorized :meth:`_node_role` over every rank."""
-        ranks = np.arange(nranks, dtype=np.int64)
-        node = ranks // ranks_per_node
-        last_node = (nranks - 1) // ranks_per_node
-        pos = np.where(node == 0, 0, np.where(node == last_node, 2, 1))
-        leader = (ranks % ranks_per_node == 0)
-        lut = np.array([f"{p}-{r}" for p in ("first", "mid", "last")
-                        for r in ("leader", "follower")])
-        return lut[pos * 2 + np.where(leader, 0, 1)]
+@lru_cache(maxsize=32)
+def _partition_for_shape(partitioner: RankGroupPartitioner, nranks: int,
+                         decomposition: BlockDecomposition | None,
+                         ranks_per_node: int) -> RankPartition:
+    """Memoized :meth:`RankGroupPartitioner._build`: a partition is an
+    immutable function of the machine shape, so the campaigns of a sweep
+    share one and the O(P) construction (and its verification) runs once
+    per shape."""
+    return partitioner._build(nranks, decomposition, ranks_per_node)

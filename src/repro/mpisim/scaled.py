@@ -114,11 +114,6 @@ class ScaledComm(SimComm):
                                  fabric=fabric)
         self._live = np.asarray(partition.live_ranks, dtype=np.int64)
         self._modeled = partition.modeled_count > 0
-        #: modelled global rank -> proxy representative's global rank,
-        #: built lazily: only the neighbor-exchange path dereferences
-        #: individual modelled ranks, so collective-only campaigns never
-        #: pay the O(P) map construction.
-        self._proxy_of: dict[int, int] | None = None
         self._group_rep_idx: list[np.ndarray] = []
         self._group_rep_proxy: list[np.ndarray] = []
         for g in partition.groups:
@@ -340,20 +335,18 @@ class ScaledComm(SimComm):
 
     # -- neighbor exchange (global-rank callable) ----------------------------------
 
-    def _proxy_map(self) -> dict[int, int]:
-        if self._proxy_of is None:
-            proxy_of: dict[int, int] = {}
-            for g in self.partition.groups:
-                proxy_of.update(g.proxy_assignment())
-            self._proxy_of = proxy_of
-        return self._proxy_of
+    def _proxy_index(self, global_rank: int) -> int:
+        """Live index of a modelled machine rank's proxy representative."""
+        part = self.partition
+        group = part.groups[int(part.group_of[global_rank])]
+        return part.live_index[group.proxy_of(global_rank)]
 
     def _clock_estimate(self, global_rank: int, clocks: np.ndarray) -> float:
         """Current clock of any machine rank: live ranks read directly,
         modelled ranks mirror their proxy representative."""
         idx = self.partition.live_index.get(global_rank)
         if idx is None:
-            idx = self.partition.live_index[self._proxy_map()[global_rank]]
+            idx = self._proxy_index(global_rank)
         return float(clocks[idx])
 
     def proxy_live_indices(self) -> np.ndarray:
@@ -363,20 +356,10 @@ class ScaledComm(SimComm):
         per group (the elastic layer folds machine-pair traffic onto
         exemplar pairs through this map)."""
         out = np.empty(self.machine_ranks, dtype=np.int64)
-        live_index = self.partition.live_index
-        for g in self.partition.groups:
-            reps = g.representatives
-            rep_idx = np.asarray([live_index[r] for r in reps],
-                                 dtype=np.int64)
-            for r, idx in zip(reps, rep_idx):
-                out[r] = idx
-            members = np.asarray(g.members, dtype=np.int64)
-            modeled = members[~np.isin(members,
-                                       np.asarray(reps, dtype=np.int64))]
-            if modeled.size:
-                # same order as RankGroup.proxy_assignment (round-robin
-                # over modelled members in member order)
-                out[modeled] = rep_idx[np.arange(modeled.size) % len(reps)]
+        for g, rep_idx in zip(self.partition.groups, self._group_rep_idx):
+            out[list(g.representatives)] = rep_idx
+            ranks, positions = g.modeled_view
+            out[ranks] = rep_idx[positions % rep_idx.size]
         return out
 
     def ineighbor_exchange(self, partners_of: Callable[[int], Sequence[int]],
@@ -460,8 +443,7 @@ class ScaledComm(SimComm):
         if rank in self._machine_failed:
             return
         self._machine_failed.add(rank)
-        pidx = self.partition.live_index[self._proxy_map()[rank]]
-        self._dead_mirrors[pidx] += 1
+        self._dead_mirrors[self._proxy_index(rank)] += 1
 
     def restore_rank(self, rank: int) -> None:
         """Replace a failed machine rank (global numbering); a revived
@@ -481,8 +463,7 @@ class ScaledComm(SimComm):
         if rank not in self._machine_failed:
             return
         self._machine_failed.discard(rank)
-        pidx = self.partition.live_index[self._proxy_map()[rank]]
-        self._dead_mirrors[pidx] -= 1
+        self._dead_mirrors[self._proxy_index(rank)] -= 1
 
     def failed_ranks(self) -> list[int]:
         if not self._modeled:

@@ -1,7 +1,10 @@
 """Tests for the representative-rank engine: partitioning + ScaledComm."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hardware.interconnect import SLINGSHOT_11
 from repro.mpisim import (
@@ -21,6 +24,7 @@ from repro.mpisim import (
     partition_from_labels,
     verify_assignments,
 )
+from repro.mpisim.partition import _partition_for_shape
 from repro.observability.tracer import Tracer
 
 
@@ -38,6 +42,54 @@ class TestRankGroup:
         g = RankGroup("g", members=(0, 1), representatives=(0, 1))
         assert g.proxy_assignment() == {}
         assert g.proxy_counts() == {0: 0, 1: 0}
+
+
+def _reference_proxy_assignment(group):
+    """The original per-member definition of a group's proxies."""
+    reps = group.representatives
+    rep_set = set(reps)
+    modeled = [m for m in group.members if m not in rep_set]
+    return {m: reps[i % len(reps)] for i, m in enumerate(modeled)}
+
+
+@st.composite
+def _hand_built_partitions(draw):
+    """Groups over a shuffled machine: unsorted members, representatives
+    drawn from anywhere in member order, one or several per group."""
+    nranks = draw(st.integers(1, 40))
+    order = draw(st.permutations(range(nranks)))
+    cuts = sorted(draw(st.sets(st.integers(1, max(nranks - 1, 1)),
+                               max_size=4)) - {nranks})
+    groups = []
+    for gi, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, nranks])):
+        members = tuple(order[lo:hi])
+        picks = draw(st.lists(st.integers(0, len(members) - 1), min_size=1,
+                              max_size=len(members), unique=True))
+        groups.append(RankGroup(f"g{gi}", members,
+                                tuple(members[k] for k in picks)))
+    return RankPartition(nranks, tuple(groups))
+
+
+class TestProxyLookup:
+    @settings(max_examples=60, deadline=None)
+    @given(_hand_built_partitions())
+    def test_matches_round_robin_reference(self, part):
+        comm = ScaledComm(part.nranks, SLINGSHOT_11, partition=part)
+        pair_of = comm.proxy_live_indices()
+        for g in part.groups:
+            ref = _reference_proxy_assignment(g)
+            assert g.proxy_assignment() == ref
+            for m in g.members:
+                assert g.proxy_of(m) == ref.get(m, m)
+                assert pair_of[m] == part.live_index[ref.get(m, m)]
+            mirrors = Counter(ref.values())
+            assert g.proxy_counts() == {r: mirrors[r]
+                                        for r in g.representatives}
+
+    def test_non_member_rejected(self):
+        g = RankGroup("g", members=(4, 2, 6), representatives=(6,))
+        with pytest.raises(KeyError):
+            g.proxy_of(3)
 
 
 class TestVerifyAssignments:
@@ -119,6 +171,85 @@ class TestPartitioners:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(PartitionError, match="unknown strategy"):
             RankGroupPartitioner("magic")
+
+
+def _reference_labels(strategy, nranks, ranks_per_node):
+    """The per-rank string labels the class-coded strategies replace."""
+    if strategy == "endpoints":
+        labels = np.full(nranks, "interior", dtype="<U8")
+        labels[-1] = "last"
+        labels[0] = "first"
+        return labels
+    ranks = np.arange(nranks, dtype=np.int64)
+    node = ranks // ranks_per_node
+    last_node = (nranks - 1) // ranks_per_node
+    pos = np.where(node == 0, 0, np.where(node == last_node, 2, 1))
+    leader = (ranks % ranks_per_node == 0)
+    lut = np.array([f"{p}-{r}" for p in ("first", "mid", "last")
+                    for r in ("leader", "follower")])
+    return lut[pos * 2 + np.where(leader, 0, 1)]
+
+
+class TestSharedPartitions:
+    @pytest.mark.parametrize("strategy", ["endpoints", "node-role"])
+    @pytest.mark.parametrize("nranks", [1, 2, 3, 7, 9, 17, 32768, 72592])
+    def test_class_codes_match_string_labels(self, strategy, nranks):
+        for rpn in (1, 3, 8):
+            for live in (1, 2):
+                got = RankGroupPartitioner(strategy, live).partition(
+                    nranks, ranks_per_node=rpn)
+                ref = partition_from_labels(
+                    _reference_labels(strategy, nranks, rpn),
+                    live_per_group=live)
+                assert got == ref
+
+    def test_one_partition_per_machine_shape(self):
+        a = RankGroupPartitioner("endpoints").partition(16)
+        assert RankGroupPartitioner("endpoints").partition(16) is a
+        assert RankGroupPartitioner("endpoints", 2).partition(16) is not a
+        assert RankGroupPartitioner("node-role").partition(
+            16, ranks_per_node=8) is not a
+
+    def test_every_build_is_verified_once(self, monkeypatch):
+        audited = []
+        monkeypatch.setattr("repro.mpisim.partition.verify_assignments",
+                            lambda part: audited.append(part.nranks))
+        _partition_for_shape.cache_clear()
+        try:
+            for n in (16, 16, 17, 16):
+                RankGroupPartitioner("endpoints").partition(n)
+            assert audited == [16, 17]
+            with pytest.raises(PartitionError, match="at least one rank"):
+                RankGroupPartitioner("endpoints").partition(0)
+            assert _partition_for_shape.cache_info().currsize == 2
+        finally:
+            # drop the partitions built under the stub audit
+            _partition_for_shape.cache_clear()
+
+    def test_shared_arrays_are_read_only(self):
+        part = RankGroupPartitioner("endpoints", 2).partition(16)
+        interior = next(g for g in part.groups if g.name == "interior")
+        for arr in (part.group_of, part.weights, *interior.modeled_view):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 99
+        assert part.weights.tolist() == [1, 7, 7, 1]
+
+    def test_communicators_on_one_partition_keep_own_faults(self):
+        part = RankGroupPartitioner("endpoints").partition(16)
+        a = ScaledComm(16, SLINGSHOT_11, partition=part)
+        b = ScaledComm(16, SLINGSHOT_11,
+                       partition=RankGroupPartitioner("endpoints")
+                       .partition(16))
+        assert a.partition is b.partition
+        a.fail_rank(5)   # modelled
+        a.fail_rank(15)  # representative
+        assert a.machine_alive_count == 14
+        assert a.failed_ranks() == [5, 15]
+        assert a.rank_weights.tolist() == [1, 13, 1]
+        assert b.machine_alive_count == 16
+        assert b.failed_ranks() == []
+        assert b.rank_weights.tolist() == [1, 14, 1]
+        b.allreduce([1.0] * 3, 8.0)  # b's collectives see no failure
 
 
 class TestGridHelpers:

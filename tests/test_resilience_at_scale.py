@@ -23,6 +23,7 @@ from repro.mpisim import (
     all_live_partition,
 )
 from repro.mpisim.decomposition import DecompositionError
+from repro.mpisim.partition import _partition_for_shape
 from repro.resilience import (
     CheckpointCostModel,
     DeviceOomFault,
@@ -293,3 +294,9 @@ class TestDalyAtScale:
         a = run_daly_sweep(nodes=4096, seeds=(0,), nsteps=64)
         b = run_daly_sweep(nodes=4096, seeds=(0,), nsteps=64)
         assert a == b
+
+    def test_sweep_same_with_cold_and_warm_partition_cache(self):
+        _partition_for_shape.cache_clear()
+        cold = run_daly_sweep(nodes=64, seeds=(0, 1), nsteps=32)
+        warm = run_daly_sweep(nodes=64, seeds=(0, 1), nsteps=32)
+        assert cold == warm

@@ -20,6 +20,7 @@ from repro.experiments.scaling import (
     validate_exemplar_vs_full,
     weak_scaling_curve,
 )
+from repro.mpisim.partition import _partition_for_shape
 from repro.observability.tracer import Tracer
 
 
@@ -106,6 +107,12 @@ class TestCurves:
         # strong scaling: step time must actually shrink with nodes
         times = [p.step_time for p in curve.points]
         assert times == sorted(times, reverse=True)
+
+    def test_curve_same_with_cold_and_warm_partition_cache(self):
+        _partition_for_shape.cache_clear()
+        cold = weak_scaling_curve(CometWeakScaling(), (8, 16, 1024))
+        warm = weak_scaling_curve(CometWeakScaling(), (8, 16, 1024))
+        assert cold == warm
 
     def test_efficiency_at_missing_point(self):
         curve = weak_scaling_curve(CometWeakScaling(), node_counts=(1, 2))
