@@ -9,9 +9,11 @@ Every kernel here is *fused* relative to the paths it replaced:
 * the Newton solve path trades the 2n-einsum triangular sweeps for one
   batched inversion per refactorization plus a single matmul per
   iteration;
-* the popcount tallies AND/popcount/reduce *all* state pairs in one
-  broadcast sweep over (n·S)-row word blocks instead of S² separate
-  pack-then-AND-then-popcount temporaries.
+* the popcount tallies exploit the tensors' permutation symmetry: the 2-way
+  sweep covers the upper triangle of the (n·S)×(n·S) row-pair matrix in
+  row blocks and mirrors each block, and the 3-way sweep loops a pivot
+  vector i over the simplex j, k ≥ i (all S³ state triples in one
+  broadcast) and scatters the three index rotations that put i first.
 
 The bit-exact LU factor/solve reference lives in
 :mod:`repro.linalg.batched`; this backend re-exports it so alternate
@@ -43,8 +45,11 @@ else:  # pragma: no cover - exercised only on numpy 1.x
         return POP8[words.view(np.uint8)].reshape(*words.shape, 8).sum(axis=-1)
 
 
-#: Word-sweep temporary budget (elements) for the fused tally kernels.
-_SWEEP_BUDGET = 1 << 24
+#: Element budget of one AND/popcount temporary in the tally kernels
+#: (2 MiB of uint64 words): large enough to amortise the numpy call
+#: overhead, small enough to stay cache-resident, and the row blocks it
+#: induces are what let the 2-way sweep skip the lower triangle.
+_SWEEP_BUDGET = 1 << 18
 
 
 @lru_cache(maxsize=128)
@@ -119,26 +124,49 @@ class NumpyBackend(ArrayBackend):
 
     def popcount_tallies_2way(self, words: np.ndarray) -> np.ndarray:
         n, S, W = words.shape
-        flat = words.reshape(n * S, W)
-        counts = np.zeros((n * S, n * S), dtype=np.int64)
-        block = max(1, _SWEEP_BUDGET // max(1, (n * S) ** 2))
-        for w0 in range(0, W, block):
-            blk = flat[:, w0:w0 + block]
-            counts += popcount_words(blk[:, None, :] & blk[None, :, :]).sum(
-                axis=-1, dtype=np.int64)
+        N = n * S
+        flat = words.reshape(N, W)
+        counts = np.empty((N, N), dtype=np.int64)
+        r0 = 0
+        while r0 < N:
+            # rows r0:r1 against every row >= r0; the rest is the mirror
+            tri = flat[r0:]
+            r1 = min(N, r0 + max(1, _SWEEP_BUDGET // (len(tri) * W)))
+            rows = flat[r0:r1]
+            wb = max(1, _SWEEP_BUDGET // (len(rows) * len(tri)))
+            blk = np.zeros((len(rows), len(tri)), dtype=np.int64)
+            for w0 in range(0, W, wb):
+                blk += popcount_words(
+                    rows[:, None, w0:w0 + wb] & tri[None, :, w0:w0 + wb]
+                ).sum(axis=-1, dtype=np.int64)
+            counts[r0:r1, r0:] = blk
+            counts[r0:, r0:r1] = blk.T
+            r0 = r1
         return np.ascontiguousarray(
             counts.reshape(n, S, n, S).transpose(1, 3, 0, 2))
 
     def popcount_tallies_3way(self, words: np.ndarray) -> np.ndarray:
-        n, S, _ = words.shape
+        n, S, W = words.shape
         counts = np.empty((S,) * 3 + (n,) * 3, dtype=np.int64)
-        for s in range(S):
-            for t in range(S):
-                pair = words[:, s, None, :] & words[None, :, t, :]
-                for u in range(S):
-                    tri = pair[:, :, None, :] & words[None, None, :, u, :]
-                    counts[s, t, u] = popcount_words(tri).sum(
+        planes = words.transpose(1, 0, 2)  # (S, n, W)
+        for i in range(n):
+            # T[s, t, u, j, k] for the pivot i and every j, k >= i
+            tail = planes[:, i:]
+            r = n - i
+            pair = tail[:, None, 0, None, :] & tail[None]  # (S, S, r, W)
+            jb = max(1, _SWEEP_BUDGET // (S**3 * r * W))
+            wb = max(1, _SWEEP_BUDGET // (S**3 * jb * r))
+            T = np.zeros((S,) * 3 + (r, r), dtype=np.int64)
+            for j0 in range(0, r, jb):
+                for w0 in range(0, W, wb):
+                    tri = (pair[:, :, None, j0:j0 + jb, None, w0:w0 + wb]
+                           & tail[None, None, :, None, :, w0:w0 + wb])
+                    T[:, :, :, j0:j0 + jb] += popcount_words(tri).sum(
                         axis=-1, dtype=np.int64)
+            # the three rotations of (i, j, k) that put the pivot first
+            counts[..., i, i:, i:] = T
+            counts[..., i:, i:, i] = T.transpose(1, 2, 0, 3, 4)
+            counts[..., i:, i, i:] = T.transpose(2, 0, 1, 4, 3)
         return counts
 
     # -- pairwise short-range forces --------------------------------------

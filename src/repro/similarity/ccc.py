@@ -72,9 +72,12 @@ def cooccurrence_counts_gemm(data: np.ndarray, *, fp16: bool = False,
 
 
 def cooccurrence_counts_bruteforce(data: np.ndarray) -> np.ndarray:
-    """Reference pair-loop implementation (the naive-tally ablation)."""
+    """Reference pair-loop implementation (the naive-tally ablation).
+
+    Returns int64 counts, the dtype of every engine path.
+    """
     n, m = data.shape
-    counts = np.zeros((N_STATES, N_STATES, n, n))
+    counts = np.zeros((N_STATES, N_STATES, n, n), dtype=np.int64)
     for i in range(n):
         for j in range(n):
             for k in range(m):

@@ -100,9 +100,10 @@ def popcount_tallies_2way(packed: PackedAlleles, *,
 
     Returns int64 ``counts[s, t, i, j]`` = #fields with vector i in state s
     and vector j in state t.  Dispatched to the array backend's fused
-    kernel: one broadcast sweep over the (n·S)-row word planes covers
-    *every* state pair at once (word-block chunked), instead of S²
-    separate AND/popcount temporaries.  Integer exact on every backend.
+    kernel; the reference kernel treats the (n·S) word planes as one
+    symmetric row-pair matrix, sweeps its upper triangle in row blocks
+    (every state pair at once) and mirrors each block into the lower
+    triangle.  Integer exact on every backend.
     """
     return resolve_backend(backend).popcount_tallies_2way(packed.words)
 
@@ -112,10 +113,12 @@ def popcount_tallies_3way(packed: PackedAlleles, *,
                           ) -> np.ndarray:
     """All-triples 3-way tallies by three-operand popcount sweeps.
 
-    Returns int64 ``counts[s, t, u, i, j, k]``.  Backend-dispatched; the
-    reference kernel reuses the ``A_s[i] & A_t[j]`` pair plane across the
-    pivot axis, so each state triple costs one (n, n, n, W) AND+popcount
-    sweep.
+    Returns int64 ``counts[s, t, u, i, j, k]``, the full dense tensor.
+    Backend-dispatched; the reference kernel loops a pivot vector i, does
+    one (S, S, S, n−i, n−i, W) AND+popcount sweep over the simplex
+    j, k ≥ i, and copies it into the three index rotations that put i
+    first, so a triple of distinct vectors is swept twice (j, k in either
+    order) rather than six times.
     """
     return resolve_backend(backend).popcount_tallies_3way(packed.words)
 

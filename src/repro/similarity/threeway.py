@@ -28,9 +28,10 @@ def threeway_counts_bruteforce(data: np.ndarray) -> np.ndarray:
     """counts[s, t, u, i, j, k] over vector triples (i < j < k not enforced).
 
     The naive-tally ablation; fields outside [0, N_STATES) are missing.
+    Returns int64 counts, the dtype of every engine path.
     """
     n, m = data.shape
-    counts = np.zeros((N_STATES,) * 3 + (n,) * 3)
+    counts = np.zeros((N_STATES,) * 3 + (n,) * 3, dtype=np.int64)
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -78,8 +79,7 @@ def threeway_metric(counts: np.ndarray, n_fields: int) -> np.ndarray:
     return metric.max(axis=(0, 1, 2))
 
 
-def threeway_similarity(data: np.ndarray, *, fp16: bool = True,
-                        use_gemm_tally: bool = True,
+def threeway_similarity(data: np.ndarray, *, use_gemm_tally: bool = True,
                         method: str = "popcount") -> np.ndarray:
     if use_gemm_tally:
         counts = threeway_counts(data, method=method)

@@ -239,6 +239,45 @@ def _reference_tallies_2way(words: np.ndarray) -> np.ndarray:
     return counts
 
 
+#: The element budget of the parent kernels below, frozen so that tests
+#: which shrink ``numpy_backend._SWEEP_BUDGET`` leave the reference alone.
+_PARENT_SWEEP_BUDGET = 1 << 24
+
+
+def _parent_tallies_2way(words: np.ndarray) -> np.ndarray:
+    """The full-square word-block sweep the triangle kernel replaced."""
+    n, S, W = words.shape
+    flat = words.reshape(n * S, W)
+    counts = np.zeros((n * S, n * S), dtype=np.int64)
+    block = max(1, _PARENT_SWEEP_BUDGET // max(1, (n * S) ** 2))
+    for w0 in range(0, W, block):
+        blk = flat[:, w0:w0 + block]
+        counts += popcount_words(blk[:, None, :] & blk[None, :, :]).sum(
+            axis=-1, dtype=np.int64)
+    return np.ascontiguousarray(
+        counts.reshape(n, S, n, S).transpose(1, 3, 0, 2))
+
+
+def _parent_tallies_3way(words: np.ndarray) -> np.ndarray:
+    """The all-(i, j, k) per-state-triple sweep the simplex kernel replaced."""
+    n, S, _ = words.shape
+    counts = np.empty((S,) * 3 + (n,) * 3, dtype=np.int64)
+    for s in range(S):
+        for t in range(S):
+            pair = words[:, s, None, :] & words[None, :, t, :]
+            for u in range(S):
+                tri = pair[:, :, None, :] & words[None, None, :, u, :]
+                counts[s, t, u] = popcount_words(tri).sum(
+                    axis=-1, dtype=np.int64)
+    return counts
+
+
+def _assert_same_tallies(got: np.ndarray, want: np.ndarray, msg: str = ""):
+    assert got.dtype == np.int64, msg
+    assert got.flags.c_contiguous, msg
+    np.testing.assert_array_equal(got, want, err_msg=msg)
+
+
 @pytest.mark.parametrize("name", BACKENDS)
 class TestTallyParity:
     def test_2way_exact_on_random_data(self, name):
@@ -296,8 +335,13 @@ class TestTallyParity:
         got = be.popcount_tallies_3way(packed.words)
         np.testing.assert_array_equal(got, einsum_tallies_3way(data))
 
-    def test_2way_word_block_chunking(self, name):
-        """Wide word planes (forcing the sweep to chunk) stay exact."""
+    def test_2way_word_block_chunking(self, name, monkeypatch):
+        """A small sweep budget chunks both kernels and stays exact.
+
+        At 64 elements the 2-way sweep takes one row per block and splits
+        its words, and the 3-way sweep takes one j row and one word per
+        block; at 512 the 2-way row blocks hold several full-width rows.
+        """
         from repro.similarity.gemmtally import pack_alleles
 
         import repro.backend.numpy_backend as nb
@@ -306,14 +350,14 @@ class TestTallyParity:
         rng = _rng(14)
         data = rng.integers(0, 2, size=(8, 64 * 7 + 3))
         packed = pack_alleles(data, n_states=2)
-        want = _reference_tallies_2way(packed.words)
-        original = nb._SWEEP_BUDGET
-        try:
-            nb._SWEEP_BUDGET = 64  # force many word blocks
-            got = be.popcount_tallies_2way(packed.words)
-        finally:
-            nb._SWEEP_BUDGET = original
-        np.testing.assert_array_equal(got, want)
+        want2 = _reference_tallies_2way(packed.words)
+        want3 = _parent_tallies_3way(packed.words)
+        for budget in (64, 512):
+            monkeypatch.setattr(nb, "_SWEEP_BUDGET", budget)
+            _assert_same_tallies(be.popcount_tallies_2way(packed.words),
+                                 want2, f"2-way, budget {budget}")
+            _assert_same_tallies(be.popcount_tallies_3way(packed.words),
+                                 want3, f"3-way, budget {budget}")
 
 
 @settings(max_examples=20, deadline=None)
@@ -334,6 +378,37 @@ def test_tally_2way_parity_property(n, m, n_states, seed):
     for name in BACKENDS:
         got = get_backend(name).popcount_tallies_2way(packed.words)
         np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+@st.composite
+def _allele_words(draw):
+    """Packed planes for n in 1..9, S in 1..3, m in 1..200, with missing
+    values (-1 and S fall outside every state) and, sometimes, one vector
+    whose fields are all missing."""
+    from repro.similarity.gemmtally import pack_alleles
+
+    n = draw(st.integers(1, 9))
+    n_states = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 200))
+    rng = _rng(draw(st.integers(0, 2**31 - 1)))
+    data = rng.integers(-1, n_states + 1, size=(n, m))
+    missing = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    if missing is not None:
+        data[missing] = -1
+    return pack_alleles(data, n_states=n_states).words
+
+
+@settings(max_examples=60, deadline=None)
+@given(words=_allele_words())
+def test_tally_kernels_match_parent_kernels(words):
+    """The symmetric kernels equal the full sweeps they replaced, entry for
+    entry, degenerate index tuples included."""
+    want2 = _parent_tallies_2way(words)
+    want3 = _parent_tallies_3way(words)
+    for name in BACKENDS:
+        be = get_backend(name)
+        _assert_same_tallies(be.popcount_tallies_2way(words), want2, name)
+        _assert_same_tallies(be.popcount_tallies_3way(words), want3, name)
 
 
 # ---------------------------------------------------------------------------

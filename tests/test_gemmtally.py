@@ -8,6 +8,8 @@ missing-data columns, single vectors).  Hypothesis drives random allele
 matrices through all of it.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,13 +19,19 @@ from repro.similarity import (
     ccc_similarity,
     cooccurrence_counts,
     cooccurrence_counts_bruteforce,
+    einsum_tallies_2way,
     pack_alleles,
     popcount_tallies_2way,
+    random_allele_data,
     tally_2way,
     tally_3way,
     threeway_counts,
     threeway_counts_bruteforce,
     threeway_similarity,
+)
+from repro.similarity.gemmtally import (
+    tally_marginal_checksums,
+    verify_tallies,
 )
 
 #: -1 encodes a missing observation; it belongs to no allele state.
@@ -55,7 +63,7 @@ class TestTwoWayEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(allele_matrices(10, 80))
     def test_popcount_and_einsum_match_bruteforce_exactly(self, data):
-        expected = cooccurrence_counts_bruteforce(data).astype(np.int64)
+        expected = cooccurrence_counts_bruteforce(data)
         for method in ("popcount", "einsum"):
             got = tally_2way(data, method=method)
             assert got.dtype == np.int64
@@ -72,10 +80,10 @@ class TestTwoWayEquivalence:
     def test_dispatcher_ablation_flag(self):
         rng = np.random.default_rng(7)
         data = rng.integers(0, N_STATES, (6, 40), dtype=np.int8)
-        np.testing.assert_array_equal(
-            cooccurrence_counts(data, use_gemm_tally=True),
-            cooccurrence_counts(data, use_gemm_tally=False),
-        )
+        engine = cooccurrence_counts(data, use_gemm_tally=True)
+        naive = cooccurrence_counts(data, use_gemm_tally=False)
+        assert engine.dtype == naive.dtype == np.int64
+        np.testing.assert_array_equal(engine, naive)
 
     def test_unknown_method_rejected(self):
         data = np.zeros((2, 8), dtype=np.int8)
@@ -89,7 +97,7 @@ class TestThreeWayEquivalence:
     @settings(max_examples=15, deadline=None)
     @given(allele_matrices(5, 30))
     def test_popcount_and_einsum_match_bruteforce_exactly(self, data):
-        expected = threeway_counts_bruteforce(data).astype(np.int64)
+        expected = threeway_counts_bruteforce(data)
         for method in ("popcount", "einsum"):
             got = tally_3way(data, method=method)
             assert got.dtype == np.int64
@@ -106,10 +114,10 @@ class TestThreeWayEquivalence:
     def test_dispatcher_ablation_flag(self):
         rng = np.random.default_rng(11)
         data = rng.integers(0, N_STATES, (4, 20), dtype=np.int8)
-        np.testing.assert_array_equal(
-            threeway_counts(data, use_gemm_tally=True),
-            threeway_counts(data, use_gemm_tally=False),
-        )
+        engine = threeway_counts(data, use_gemm_tally=True)
+        naive = threeway_counts(data, use_gemm_tally=False)
+        assert engine.dtype == naive.dtype == np.int64
+        np.testing.assert_array_equal(engine, naive)
 
 
 class TestPacking:
@@ -126,7 +134,7 @@ class TestPacking:
         assert tally_2way(data).sum() == 0
         assert tally_3way(data).sum() == 0
         np.testing.assert_array_equal(
-            tally_2way(data), cooccurrence_counts_bruteforce(data).astype(np.int64)
+            tally_2way(data), cooccurrence_counts_bruteforce(data)
         )
 
     def test_counts_partition_fields_without_missing(self):
@@ -138,3 +146,35 @@ class TestPacking:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             pack_alleles(np.zeros(8, dtype=np.int8))
+
+
+class TestOutputContract:
+    """The invariants the ``comet_tally`` benchmark checks on every unit,
+    pinned on seeded blocks of the same widths (no field is missing)."""
+
+    BLOCKS = ((48, 130), (24, 2048))
+
+    @pytest.fixture(scope="class", params=BLOCKS, ids=lambda b: "x".join(
+        map(str, b)))
+    def tallies(self, request):
+        data = random_allele_data(*request.param, seed=sum(request.param))
+        return data, tally_2way(data), tally_3way(data)
+
+    def test_3way_invariant_under_joint_permutation(self, tallies):
+        _, _, c3 = tallies
+        for perm in itertools.permutations(range(3)):
+            axes = perm + tuple(3 + p for p in perm)
+            assert np.array_equal(c3.transpose(axes), c3), perm
+
+    def test_3way_marginal_is_the_2way_tally(self, tallies):
+        data, c2, c3 = tallies
+        assert np.array_equal(c2, einsum_tallies_2way(data))
+        assert (c3.sum(axis=2) == c2[..., None]).all()
+
+    def test_2way_passes_its_marginal_checksums(self, tallies):
+        data, c2, _ = tallies
+        row, col = tally_marginal_checksums(data)
+        report = verify_tallies(c2, row, col, correct=False,
+                                raise_on_detect=False)
+        assert report.detected == 0
+        assert report.checked > 0
