@@ -1,18 +1,15 @@
 """Wall-clock span benchmark feeding the observability regression gate.
 
 PR 5's tentpole added :mod:`repro.observability`; this bench closes the
-loop on its :class:`BenchRegressionGate`.  It re-measures three recorded
+loop on its :class:`BenchRegressionGate`.  It re-measures four recorded
 stages — the bit-packed GEMM tallies, the vectorized PM pairwise forces,
-and the batched reacting-flow advance — inside *wall-clock* spans
+the batched reacting-flow advance and the Figure 2 batched chemistry
+stage — inside *wall-clock* spans
 (``Tracer(clock=time.perf_counter)``; the clock is injected here because
 the observability package itself never imports ``time``), then gates
 each span total against the band recorded in ``BENCH_repro_speed.json``:
 
     measured <= recorded * slow_factor + slack
-
-The figure2 chemistry stage is additionally gated *per array backend*
-(one band per backend that is both available and recorded), so a
-regression in any backend's fused kernels is caught by its own band.
 
 A failure means either the reproduction got dramatically slower or the
 instrumentation silently disappeared — both are regressions.  Run
@@ -28,13 +25,16 @@ recorded stages at recorded sizes and never writes the JSON).
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.backend import available_backends
+from repro.apps.pele import (
+    PeleConfig,
+    chemistry_field,
+    integrate_chemistry_batched,
+)
 from repro.observability import BenchRegressionGate, Tracer, hot_spans_report
 from repro.particles.pm import short_range_forces
 from repro.similarity import random_allele_data, tally_2way
@@ -48,28 +48,11 @@ GATED_SPANS = {
     "bench.comet_ccc": ("comet_ccc", "t_gemm_tally"),
     "bench.pm_pairwise": ("pm_pairwise", "t_vectorized"),
     "bench.reacting_flow": ("reacting_flow", "t_batched"),
+    "bench.figure2_chem": ("figure2_chemistry_stage", "t_batched"),
 }
 
 
-def gated_backend_spans() -> dict:
-    """Per-backend figure2 gate bands: one span per backend that is both
-    available in this process and recorded in ``BENCH_repro_speed.json``
-    (a CI host with numba gates numba against numba's recorded band; a
-    host without it skips that band instead of KeyErroring)."""
-    recorded = {}
-    if _BENCH_PATH.exists():
-        recorded = (json.loads(_BENCH_PATH.read_text())
-                    .get("figure2_chemistry_backends", {})
-                    .get("backends", {}))
-    return {
-        f"bench.figure2_chem[{name}]":
-            ("figure2_chemistry_backends", "backends", name, "t_batched")
-        for name in available_backends() if name in recorded
-    }
-
-
-def traced_stage_run(tracer: Tracer,
-                     backend_spans: dict | None = None) -> None:
+def traced_stage_run(tracer: Tracer) -> None:
     """Re-run every gated stage at its recorded size under *tracer*."""
     with tracer.span("bench.comet_ccc", cat="bench", pid="bench",
                      tid="stages", n_vectors=48, n_fields=96):
@@ -89,24 +72,14 @@ def traced_stage_run(tracer: Tracer,
         for _ in range(5):
             flow.step()
 
-    if backend_spans:
-        from repro.apps.pele import (
-            PeleConfig,
-            chemistry_field,
-            integrate_chemistry_batched,
-        )
-
-        cfg = PeleConfig()
-        T, C0 = chemistry_field(cfg, 48, seed=0)
-        for span_name, key in backend_spans.items():
-            backend = key[2]
-            # warm outside the span: JIT backends compile on first call
-            integrate_chemistry_batched(cfg, T[:2], C0[:2], 1e-9,
-                                        backend=backend)
-            with tracer.span(span_name, cat="bench", pid="bench",
-                             tid="stages", ncells=48, backend=backend):
-                integrate_chemistry_batched(cfg, T, C0, 1e-9,
-                                            backend=backend)
+    cfg = PeleConfig()
+    T, C0 = chemistry_field(cfg, 48, seed=0)
+    # warm outside the span, as the recorded run does: the generated
+    # kernels compile on first call
+    integrate_chemistry_batched(cfg, T[:2], C0[:2], 1e-9)
+    with tracer.span("bench.figure2_chem", cat="bench", pid="bench",
+                     tid="stages", ncells=48):
+        integrate_chemistry_batched(cfg, T, C0, 1e-9)
 
 
 def run_gate(*, slow_factor: float = 8.0, slack: float = 0.25) -> list:
@@ -117,11 +90,10 @@ def run_gate(*, slow_factor: float = 8.0, slack: float = 0.25) -> list:
     instrumentation, not 10% jitter.
     """
     tracer = Tracer(clock=time.perf_counter)
-    backend_spans = gated_backend_spans()
-    traced_stage_run(tracer, backend_spans)
+    traced_stage_run(tracer)
     gate = BenchRegressionGate(_BENCH_PATH, slow_factor=slow_factor,
                                slack=slack)
-    checks = gate.check_span_totals(tracer, {**GATED_SPANS, **backend_spans})
+    checks = gate.check_span_totals(tracer, GATED_SPANS)
     for check in checks:
         print(check.describe())
     print()
@@ -132,7 +104,7 @@ def run_gate(*, slow_factor: float = 8.0, slack: float = 0.25) -> list:
 
 def test_bench_observability_gate():
     checks = run_gate()
-    assert len(checks) >= len(GATED_SPANS) + 1  # numpy band always gated
+    assert len(checks) == len(GATED_SPANS)
     assert all(c.ok for c in checks)
 
 

@@ -35,7 +35,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.backend import available_backends
 from repro.hydro.euler1d import Euler1D
 from repro.hydro.reacting import ReactingFlow1D
 from repro.particles.pm import short_range_forces
@@ -49,7 +48,7 @@ from repro.similarity import (
 _RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_repro_speed.json"
 
 #: PR 1's recorded figure2 batched wall time (48 cells, dt=1e-9, seed 0)
-#: on this reference box — the baseline the backend layer is held to.
+#: on this reference box — the baseline the fused kernels are held to.
 PR1_FIG2_T_BATCHED = 7.4809
 
 
@@ -116,15 +115,15 @@ def comet_ccc_speedup(*, n: int = 48, m: int = 96) -> dict:
     }
 
 
-def figure2_chemistry_backends(*, ncells: int = 48, dt: float = 1e-9,
-                               seed: int = 0) -> dict:
-    """The Figure 2 chemistry stage swept over every available backend.
+def figure2_chemistry_stage(*, ncells: int = 48, dt: float = 1e-9,
+                            seed: int = 0) -> dict:
+    """The Figure 2 chemistry stage: scalar per-cell loop vs batched path.
 
-    The scalar per-cell loop runs once (it has no backend axis); the
-    batched path runs per backend — a tiny warm-up field first so JIT
-    backends compile outside the timed region — and each entry records
-    its speedup over the scalar loop *and* over PR 1's recorded batched
-    wall time (the fused-kernel/backend win alone).
+    The batched path runs a tiny warm-up field first so the generated
+    kernels compile outside the timed region, and the record holds its
+    speedup over the scalar loop *and* over ``PR1_FIG2_T_BATCHED``, the
+    recorded wall time of the first batched path (the fused-kernel win
+    alone).
     """
     from repro.apps.pele import (
         PeleConfig,
@@ -140,27 +139,18 @@ def figure2_chemistry_backends(*, ncells: int = 48, dt: float = 1e-9,
     t_scalar = time.perf_counter() - t0
     scale = np.abs(y_scalar).max() + 1e-30
 
-    backends = {}
-    for name in available_backends():
-        integrate_chemistry_batched(cfg, T[:2], C0[:2], dt, backend=name)
-        t0 = time.perf_counter()
-        res = integrate_chemistry_batched(cfg, T, C0, dt, backend=name)
-        t_batched = time.perf_counter() - t0
-        backends[name] = {
-            "t_batched": t_batched,
-            "speedup": t_scalar / t_batched,
-            "speedup_vs_pr1_batched": PR1_FIG2_T_BATCHED / t_batched,
-            "max_rel_deviation": float(
-                np.abs(res.y - y_scalar).max() / scale),
-        }
-    best = min(backends, key=lambda k: backends[k]["t_batched"])
+    integrate_chemistry_batched(cfg, T[:2], C0[:2], dt)
+    t0 = time.perf_counter()
+    res = integrate_chemistry_batched(cfg, T, C0, dt)
+    t_batched = time.perf_counter() - t0
     return {
         "ncells": ncells,
         "dt": dt,
         "t_scalar": t_scalar,
-        "pr1_t_batched": PR1_FIG2_T_BATCHED,
-        "best_backend": best,
-        "backends": backends,
+        "t_batched": t_batched,
+        "speedup": t_scalar / t_batched,
+        "speedup_vs_pr1_batched": PR1_FIG2_T_BATCHED / t_batched,
+        "max_rel_deviation": float(np.abs(res.y - y_scalar).max() / scale),
     }
 
 
@@ -186,25 +176,9 @@ def pm_pairwise_speedup(*, n: int = 400) -> dict:
 
 
 def run_all(*, write: bool = True) -> dict:
-    from repro.backend import get_backend
-
-    sweep = figure2_chemistry_backends(ncells=48, dt=1e-9, seed=0)
-    auto = get_backend("auto").name
-    # the flat entry keeps its PR 1 shape (plus the backend axis) so the
-    # observability gate's reference keys stay stable
-    stage = {
-        "ncells": sweep["ncells"],
-        "dt": sweep["dt"],
-        "backend": auto,
-        "t_scalar": sweep["t_scalar"],
-        "t_batched": sweep["backends"][auto]["t_batched"],
-        "speedup": sweep["backends"][auto]["speedup"],
-        "max_rel_deviation": sweep["backends"][auto]["max_rel_deviation"],
-    }
     report = {
         "reacting_flow": reacting_flow_speedup(),
-        "figure2_chemistry_stage": stage,
-        "figure2_chemistry_backends": sweep,
+        "figure2_chemistry_stage": figure2_chemistry_stage(),
         "comet_ccc": comet_ccc_speedup(),
         "pm_pairwise": pm_pairwise_speedup(),
     }
@@ -221,7 +195,6 @@ def test_bench_repro_speed():
     report = run_all()
     rf = report["reacting_flow"]
     fig2 = report["figure2_chemistry_stage"]
-    sweep = report["figure2_chemistry_backends"]
     ccc = report["comet_ccc"]
     pm = report["pm_pairwise"]
     print(f"\nreacting flow ({rf['ncells']} cells x {rf['steps']} steps): "
@@ -229,11 +202,8 @@ def test_bench_repro_speed():
           f"({rf['speedup']:.1f}x)")
     print(f"figure2 chemistry stage ({fig2['ncells']} cells): "
           f"scalar {fig2['t_scalar']:.2f} s, batched {fig2['t_batched']:.2f} s "
-          f"({fig2['speedup']:.1f}x, backend {fig2['backend']})")
-    for name, entry in sweep["backends"].items():
-        print(f"  backend {name:6s}: {entry['t_batched']:.3f} s "
-              f"({entry['speedup']:.1f}x scalar, "
-              f"{entry['speedup_vs_pr1_batched']:.2f}x PR 1 batched)")
+          f"({fig2['speedup']:.1f}x scalar, "
+          f"{fig2['speedup_vs_pr1_batched']:.2f}x first batched path)")
     print(f"comet ccc tallies ({ccc['n_vectors']}x{ccc['n_fields']}): "
           f"naive {ccc['t_naive']:.3f} s, gemm-tally {ccc['t_gemm_tally']:.4f} s "
           f"({ccc['speedup']:.0f}x)")
@@ -244,13 +214,8 @@ def test_bench_repro_speed():
     assert fig2["max_rel_deviation"] < 1e-6
     assert rf["speedup"] >= 3.0
     assert fig2["speedup"] >= 3.0
-    # the backend-layer acceptance bands: the fused numpy kernels alone
-    # must beat PR 1's batched wall time, the best backend by 5x
-    best = sweep["backends"][sweep["best_backend"]]
-    assert sweep["backends"]["numpy"]["speedup_vs_pr1_batched"] >= 1.3
-    assert best["speedup_vs_pr1_batched"] >= 5.0
-    for name, entry in sweep["backends"].items():
-        assert entry["max_rel_deviation"] < 1e-6, name
+    # the fused kernels must beat the first batched path's wall time by 5x
+    assert fig2["speedup_vs_pr1_batched"] >= 5.0
     assert ccc["max_abs_deviation"] == 0.0  # integer tallies, exact
     assert ccc["speedup"] >= 10.0
     assert pm["max_abs_deviation"] < 1e-9
@@ -259,7 +224,7 @@ def test_bench_repro_speed():
 
 def quick_smoke() -> dict:
     """Tiny-size CI smoke: the vectorized paths must beat the naive loops,
-    and every available backend must agree with the scalar chemistry on a
+    and the batched chemistry must agree with the scalar loop on a
     small field (relative bands only — no absolute wall-clock references,
     so the smoke is robust to slow CI boxes)."""
     report = {
@@ -271,13 +236,12 @@ def quick_smoke() -> dict:
         print(f"{name}: {entry['speedup']:.1f}x, max deviation {dev:g}")
         assert entry["speedup"] >= 1.0, f"{name} slower than the naive loop"
         assert dev < 1e-9, f"{name} deviates from the naive loop"
-    sweep = figure2_chemistry_backends(ncells=6, dt=1e-9, seed=0)
-    report["figure2_chemistry_backends"] = sweep
-    for name, entry in sweep["backends"].items():
-        print(f"figure2 backend {name}: {entry['speedup']:.1f}x scalar, "
-              f"max rel deviation {entry['max_rel_deviation']:g}")
-        assert entry["max_rel_deviation"] < 1e-6, name
-        assert entry["speedup"] >= 1.0, f"{name} slower than the scalar loop"
+    fig2 = report["figure2_chemistry_stage"] = figure2_chemistry_stage(
+        ncells=6, dt=1e-9, seed=0)
+    print(f"figure2 chemistry: {fig2['speedup']:.1f}x scalar, "
+          f"max rel deviation {fig2['max_rel_deviation']:g}")
+    assert fig2["max_rel_deviation"] < 1e-6
+    assert fig2["speedup"] >= 1.0, "batched slower than the scalar loop"
     return report
 
 

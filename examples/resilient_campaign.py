@@ -36,9 +36,6 @@ Chrome-trace/Perfetto JSON of the whole demo — spans from the simulated
 communicator, the resilience runner, the batched solver and the GPU
 perf model on a single timeline.  Tracing is observation-only: the
 returned final state is bit-identical with it on or off.
-``--backend {numpy,numba,auto}`` picks the array engine for the
-chemistry campaign; the Figure 2 exact-replay assertion is re-run under
-every backend available in the process.
 """
 
 import numpy as np
@@ -64,29 +61,20 @@ from repro.resilience import (
 
 
 def main(fast: bool = False, policy: str = "restart",
-         trace: str | None = None, backend: str = "auto",
-         nodes: int | None = None) -> dict:
+         trace: str | None = None, nodes: int | None = None) -> dict:
     """Run the full demo; ``fast`` shrinks the campaign and the Daly sweep
     (fewer steps, particles and seeds) without dropping any assertion —
     the bit-identical-recovery checks run in both modes.  ``policy``
     picks the main campaign's recovery strategy.  ``trace`` (a path)
     records the demo through :mod:`repro.observability` and writes the
-    merged Chrome-trace JSON there.  ``backend`` selects the array engine
-    for the Figure 2 chemistry campaign; the exact-replay assertion is
-    additionally re-run under *every* available backend.  Returns the
-    final state and fault accounting of the main campaign, so a
-    differential harness can assert traced and untraced runs are
-    identical."""
-    from repro.backend import available_backends, get_backend
-
-    be = get_backend(backend)
+    merged Chrome-trace JSON there.  Returns the final state and fault
+    accounting of the main campaign, so a differential harness can assert
+    traced and untraced runs are identical."""
     tracer = None
     if trace is not None:
         from repro.observability import Tracer
 
         tracer = Tracer()
-    print(f"array backend: {be.name} "
-          f"(available: {', '.join(available_backends())})")
     print("=== Young/Daly intervals from the machine models ===")
     nbytes = 16 << 30  # 16 GiB of state per node, a typical PeleC plotfile
     for machine in (SUMMIT, FRONTIER):
@@ -211,24 +199,9 @@ def main(fast: bool = False, policy: str = "restart",
     fig2 = run_figure2_resilient(nsteps=4 if fast else 8,
                                  checkpoint_interval=2,
                                  ncells=4 if fast else 8, mtbf=7.0,
-                                 tracer=tracer, device=fig2_device,
-                                 backend=be)
+                                 tracer=tracer, device=fig2_device)
     print("  " + fig2.render().replace("\n", "\n  "))
     assert all(fig2.checks().values()), fig2.checks()
-
-    # exact replay is a per-backend contract: whatever engine runs the
-    # chemistry, recovery must land on the failure-free run's exact bits
-    fig2_by_backend: dict[str, bool] = {be.name: bool(fig2.bit_identical)}
-    for name in available_backends():
-        if name == be.name:
-            continue
-        other = run_figure2_resilient(nsteps=4, checkpoint_interval=2,
-                                      ncells=4, mtbf=7.0, backend=name)
-        fig2_by_backend[name] = bool(other.bit_identical)
-        assert other.bit_identical, (
-            f"backend {name!r} recovery diverged from its failure-free run")
-    print("  exact replay per backend: "
-          + ", ".join(f"{k}={v}" for k, v in sorted(fig2_by_backend.items())))
 
     print("\n=== Measured overhead vs. the Daly curve ===")
     probe = campaign()
@@ -292,7 +265,6 @@ def main(fast: bool = False, policy: str = "restart",
         "failures_by_kind": dict(stats.failures_by_kind),
         "shrink_recoveries": int(shrink_stats.recoveries),
         "fig2_bit_identical": bool(fig2.bit_identical),
-        "fig2_bit_identical_by_backend": fig2_by_backend,
         "scaled_nodes": int(nodes) if nodes else None,
         "scaled_recoveries": (int(scaled_stats.recoveries)
                               if scaled_stats is not None else None),
@@ -310,14 +282,9 @@ if __name__ == "__main__":
                         help="recovery policy for the main campaign")
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="write a merged Chrome-trace JSON of the demo")
-    parser.add_argument("--backend", choices=("numpy", "numba", "auto"),
-                        default="auto",
-                        help="array backend for the chemistry campaign "
-                             "(auto = numba when installed, else numpy)")
     parser.add_argument("--nodes", type=int, default=None, metavar="N",
                         help="also run the fault-injected campaign at N "
                              "Frontier nodes (N x 8 machine ranks) on the "
                              "representative-rank engine, e.g. 4096 or 9074")
     cli = parser.parse_args()
-    main(fast=cli.fast, policy=cli.policy, trace=cli.trace,
-         backend=cli.backend, nodes=cli.nodes)
+    main(fast=cli.fast, policy=cli.policy, trace=cli.trace, nodes=cli.nodes)

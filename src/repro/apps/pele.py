@@ -31,7 +31,7 @@ from repro.amr.ghost import (
     asynchronous_step_time,
     synchronous_step_time,
 )
-from repro.backend import ArrayBackend, resolve_backend
+from repro.backend.numpy_backend import NUMPY
 from repro.chem.codegen import compile_batched_kernels
 from repro.chem.fused import rate_tables
 from repro.chem.kinetics import (
@@ -113,9 +113,8 @@ def chemistry_field(cfg: PeleConfig = PeleConfig(), ncells: int = 64, *,
     return T, C0
 
 
-def _fused_chemistry_rhs(mech: Mechanism, T: np.ndarray,
-                         backend: ArrayBackend):
-    """Batched RHS closure on the backend's fused rates kernel.
+def _fused_chemistry_rhs(mech: Mechanism, T: np.ndarray):
+    """Batched RHS closure on the fused rates kernel.
 
     The Arrhenius constants depend only on T — a parameter of the
     integration, not part of the state — so ``kf``/``kr`` are computed
@@ -123,7 +122,7 @@ def _fused_chemistry_rhs(mech: Mechanism, T: np.ndarray,
     GEMM against the net stoichiometry matrix (~6 whole-batch ops vs the
     generated kernel's ~700 tiny per-reaction ones).
     """
-    kernel = backend.rates_kernel(rate_tables(mech))
+    kernel = NUMPY.rates_kernel(rate_tables(mech))
     kf, kr = kernel.rate_constants(np.asarray(T, dtype=float))
 
     def rhs(t, conc):
@@ -134,23 +133,20 @@ def _fused_chemistry_rhs(mech: Mechanism, T: np.ndarray,
 
 def integrate_chemistry_batched(cfg: PeleConfig, T: np.ndarray,
                                 C0: np.ndarray, dt: float, *,
-                                rtol: float = 1e-6, atol: float = 1e-9,
-                                backend: "str | ArrayBackend | None" = None):
+                                rtol: float = 1e-6, atol: float = 1e-9):
     """Advance every cell's chemistry at once (the cvode-batched lever).
 
-    Backend-dispatched fused rates + generated analytic batched Jacobian
+    Fused rates + generated analytic batched Jacobian
     + batched Newton with factor reuse — the reproduction of the
     CVODE+MAGMA path Figure 2's 'cvode-batched' code state names.
     """
-    be = resolve_backend(backend)
     kernels = compile_batched_kernels(cfg.mechanism)
-    rhs = _fused_chemistry_rhs(cfg.mechanism, T, be)
+    rhs = _fused_chemistry_rhs(cfg.mechanism, T)
 
     def jac(t, conc):
         return kernels.jacobian(T, np.maximum(conc, 0.0))
 
-    integ = BatchedBdfIntegrator(rhs, jac=jac, rtol=rtol, atol=atol,
-                                 backend=be)
+    integ = BatchedBdfIntegrator(rhs, jac=jac, rtol=rtol, atol=atol)
     return integ.integrate(C0, 0.0, dt)
 
 
@@ -169,9 +165,7 @@ def integrate_chemistry_scalar(cfg: PeleConfig, T: np.ndarray,
 
 def measured_chemistry_speedup(cfg: PeleConfig = PeleConfig(), *,
                                ncells: int = 64, dt: float = 1e-6,
-                               seed: int = 0,
-                               backend: "str | ArrayBackend | None" = None,
-                               ) -> dict:
+                               seed: int = 0) -> dict:
     """Wall-clock scalar-loop vs batched chemistry on the same field.
 
     This is a *measured* (not modeled) ablation of the paper's batching
@@ -179,19 +173,17 @@ def measured_chemistry_speedup(cfg: PeleConfig = PeleConfig(), *,
     the speedup, and the worst per-species deviation between the two
     solutions (they must agree within solver tolerances).
     """
-    be = resolve_backend(backend)
     T, C0 = chemistry_field(cfg, ncells, seed=seed)
     t0 = time.perf_counter()
     y_scalar = integrate_chemistry_scalar(cfg, T, C0, dt)
     t_scalar = time.perf_counter() - t0
     t0 = time.perf_counter()
-    res = integrate_chemistry_batched(cfg, T, C0, dt, backend=be)
+    res = integrate_chemistry_batched(cfg, T, C0, dt)
     t_batched = time.perf_counter() - t0
     scale = np.abs(y_scalar).max() + 1e-30
     return {
         "ncells": ncells,
         "dt": dt,
-        "backend": be.name,
         "t_scalar": t_scalar,
         "t_batched": t_batched,
         "speedup": t_scalar / t_batched,
@@ -228,8 +220,7 @@ class PeleChemistryCampaign:
                  tracer: Tracer | None = None,
                  comm: SimComm | None = None,
                  device: Device | None = None,
-                 kernel_config: "object | None" = None,
-                 backend: "str | ArrayBackend | None" = None) -> None:
+                 kernel_config: "object | None" = None) -> None:
         if mechanism not in _CAMPAIGN_MECHANISMS:
             raise ValueError(
                 f"unknown mechanism {mechanism!r}; "
@@ -255,9 +246,6 @@ class PeleChemistryCampaign:
         # (T, C, steps_done), so tuned and default campaigns stay
         # bit-identical and only the modeled timeline moves
         self.kernel_config = kernel_config
-        # like the tracer, the backend is an engine choice, not campaign
-        # state: snapshots restore onto whatever engine the host runs
-        self.backend = resolve_backend(backend)
         rng = np.random.default_rng(seed)
         self.T = rng.uniform(1200.0, 1600.0, ncells)
         self.C = rng.uniform(0.05, 1.0, (ncells, self.mechanism.n_species))
@@ -272,7 +260,7 @@ class PeleChemistryCampaign:
             # a corrupted input state must not be integrated forward
             self.validate_state()
 
-        rhs = _fused_chemistry_rhs(self.mechanism, self.T, self.backend)
+        rhs = _fused_chemistry_rhs(self.mechanism, self.T)
 
         def jac(t, conc):
             return kernels.jacobian(self.T, np.maximum(conc, 0.0))
@@ -280,8 +268,7 @@ class PeleChemistryCampaign:
         integ = BatchedBdfIntegrator(rhs, jac=jac, rtol=self.rtol,
                                      atol=self.atol, max_steps=20_000,
                                      sdc_guard=self.sdc_guard,
-                                     tracer=self.tracer,
-                                     backend=self.backend)
+                                     tracer=self.tracer)
         res = integ.integrate(self.C, 0.0, self.dt_chem)
         self.C = np.maximum(res.y, 0.0)
         self.steps_done += 1

@@ -1,121 +1,9 @@
-"""Pluggable array-backend dispatch for the reproduction's hot kernels.
+"""The fused numpy kernels of the chemistry stage (§3.8 Pele).
 
-One kernel source of truth per family, retargeted across array engines —
-the CRK-HACC single-source SYCL lesson (PAPERS.md, arXiv:2310.16122)
-applied to the reproduction's own compute.  The numpy reference backend
-is always available; a numba-JIT backend is auto-detected at import;
-cupy/JAX names are registered as porting stubs.
-
-Selection::
-
-    from repro.backend import get_backend
-    be = get_backend()          # "auto": numba when installed, else numpy
-    be = get_backend("numpy")   # explicit
-    be = get_backend(existing_backend_instance)  # pass-through
-
-``REPRO_BACKEND=<name>`` pins the "auto" choice process-wide (the CI
-matrix job uses it to force each backend under the same suite).  Every
-backend is held to the numpy reference by ``tests/test_backend.py``:
-integer-exact tallies, ≤1e-9 relative LU/forces, roundoff-level fused
-chemistry rates.
+:mod:`repro.backend.base` holds the mechanism tables and the
+temperature-only rate constants; :mod:`repro.backend.numpy_backend`
+holds the fused ω̇ kernel and the batched Newton factor/solve kernels,
+used through its module-level ``NUMPY`` instance.  The popcount tallies
+live in :mod:`repro.similarity.gemmtally` and the pairwise forces in
+:mod:`repro.particles.pm`, next to their only callers.
 """
-
-from __future__ import annotations
-
-import os
-from typing import Callable
-
-from repro.backend.base import (
-    ArrayBackend,
-    BackendUnavailable,
-    ChemRateTables,
-    FusedRatesKernel,
-)
-from repro.backend.numba_backend import HAVE_NUMBA, NumbaBackend
-from repro.backend.numpy_backend import NumpyBackend
-from repro.backend.stubs import library_present, make_stub_factory
-
-__all__ = [
-    "ArrayBackend",
-    "BackendUnavailable",
-    "ChemRateTables",
-    "FusedRatesKernel",
-    "available_backends",
-    "backend_available",
-    "get_backend",
-    "register_backend",
-    "registered_backends",
-    "resolve_backend",
-]
-
-_FACTORIES: dict[str, Callable[[], ArrayBackend]] = {}
-_PROBES: dict[str, Callable[[], bool]] = {}
-_INSTANCES: dict[str, ArrayBackend] = {}
-
-
-def register_backend(name: str, factory: Callable[[], ArrayBackend], *,
-                     probe: Callable[[], bool] | None = None) -> None:
-    """Register *factory* under *name*; *probe* gates availability."""
-    _FACTORIES[name] = factory
-    _PROBES[name] = probe if probe is not None else (lambda: True)
-    _INSTANCES.pop(name, None)
-
-
-def registered_backends() -> tuple[str, ...]:
-    """Every registered name, available or not (stubs included)."""
-    return tuple(_FACTORIES)
-
-
-def backend_available(name: str) -> bool:
-    """True when *name* is registered and its probe passes."""
-    probe = _PROBES.get(name)
-    return bool(probe and probe())
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names that :func:`get_backend` will actually construct."""
-    return tuple(n for n in _FACTORIES if backend_available(n))
-
-
-def _auto_name() -> str:
-    pinned = os.environ.get("REPRO_BACKEND")
-    if pinned:
-        return pinned
-    return "numba" if backend_available("numba") else "numpy"
-
-
-def get_backend(name: str | ArrayBackend | None = "auto") -> ArrayBackend:
-    """Resolve a backend by name ("auto" picks the best available)."""
-    if isinstance(name, ArrayBackend):
-        return name
-    if name is None or name == "auto":
-        name = _auto_name()
-    if name not in _FACTORIES:
-        raise KeyError(
-            f"unknown backend {name!r}; registered: {registered_backends()}")
-    if not backend_available(name):
-        # let the factory speak: stubs raise porting guidance, the numba
-        # factory names the missing library
-        _FACTORIES[name]()
-        raise BackendUnavailable(
-            f"backend {name!r} is registered but unavailable here; "
-            f"available: {available_backends()}")
-    instance = _INSTANCES.get(name)
-    if instance is None:
-        instance = _FACTORIES[name]()
-        _INSTANCES[name] = instance
-    return instance
-
-
-def resolve_backend(backend: str | ArrayBackend | None) -> ArrayBackend:
-    """Consumer-side resolver: ``None`` means "auto"."""
-    return get_backend("auto" if backend is None else backend)
-
-
-register_backend("numpy", NumpyBackend)
-register_backend("numba", NumbaBackend, probe=lambda: HAVE_NUMBA)
-# device-array porting stubs: visible in the registry, never "available"
-register_backend("cupy", make_stub_factory("cupy", "cupy"),
-                 probe=lambda: False)
-register_backend("jax", make_stub_factory("jax", "jax"),
-                 probe=lambda: False)

@@ -63,7 +63,6 @@ def rate_tables(mech: Mechanism) -> ChemRateTables:
             net[r, s] -= nu
         for s, nu in rx.products.items():
             net[r, s] += nu
-    rows, cols = np.nonzero(net)
     tables = ChemRateTables(
         n_species=n,
         n_reactions=R,
@@ -77,9 +76,6 @@ def rate_tables(mech: Mechanism) -> ChemRateTables:
         fwd_idx=_multiplicity_rows([rx.reactants for rx in mech.reactions], n),
         rev_idx=_multiplicity_rows([rx.products for rx in mech.reactions], n),
         net=net,
-        net_rows=rows.astype(np.intp),
-        net_cols=cols.astype(np.intp),
-        net_vals=net[rows, cols],
     )
     _TABLES_CACHE[key] = tables
     return tables

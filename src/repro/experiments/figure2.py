@@ -97,18 +97,16 @@ class Figure2MeasuredResult:
 
 
 def run_figure2_measured(*, ncells: int = 32, dt: float = 1e-9,
-                         seed: int = 0,
-                         backend=None) -> Figure2MeasuredResult:
+                         seed: int = 0) -> Figure2MeasuredResult:
     """Figure 2 with the cvode-batched lever actually executed.
 
     Slower than :func:`run_figure2` (it integrates real stiff chemistry
-    twice); intended for benchmarks, not the fast test tier.  ``backend``
-    selects the array engine for the batched side (``None`` = auto).
+    twice); intended for benchmarks, not the fast test tier.
     """
     return Figure2MeasuredResult(
         modeled=run_figure2(),
         chemistry_stage=pele.measured_chemistry_speedup(
-            ncells=ncells, dt=dt, seed=seed, backend=backend
+            ncells=ncells, dt=dt, seed=seed
         ),
     )
 
@@ -153,7 +151,7 @@ class Figure2ResilientResult:
 def run_figure2_resilient(*, nsteps: int = 10, checkpoint_interval: int = 3,
                           ncells: int = 12, mtbf: float = 8.0,
                           seed: int = 0, tracer=None,
-                          device=None, backend=None) -> Figure2ResilientResult:
+                          device=None) -> Figure2ResilientResult:
     """Drive the Figure 2 chemistry campaign through ``ResilientRunner``
     with injected rank failures, and verify restart exactness.
 
@@ -167,11 +165,6 @@ def run_figure2_resilient(*, nsteps: int = 10, checkpoint_interval: int = 3,
     rounds and kernel launches all land on one timeline — while the
     failure-free reference stays bare, so the bit-identical check also
     proves instrumentation never feeds back into the physics.
-
-    ``backend`` selects the array engine for *both* the fault-injected
-    and the failure-free campaign — recovery must replay the failure-free
-    trajectory bit for bit on whatever backend actually runs, so the
-    contract is per backend, not numpy-only.
     """
     from repro.resilience import (
         CheckpointCostModel,
@@ -195,8 +188,7 @@ def run_figure2_resilient(*, nsteps: int = 10, checkpoint_interval: int = 3,
                             ncells=int(ncells))
 
     def campaign(**observers):
-        return pele.PeleChemistryCampaign(ncells=ncells, seed=seed,
-                                          backend=backend, **observers)
+        return pele.PeleChemistryCampaign(ncells=ncells, seed=seed, **observers)
 
     # failure-free reference: same campaign, no injector, no observers
     reference = campaign()
@@ -244,14 +236,9 @@ if __name__ == "__main__":  # pragma: no cover - CLI entry
         description="Figure 2 with the cvode-batched lever measured")
     parser.add_argument("--ncells", type=int, default=32)
     parser.add_argument("--dt", type=float, default=1e-9)
-    parser.add_argument("--backend", choices=("numpy", "numba", "auto"),
-                        default="auto",
-                        help="array backend for the batched chemistry "
-                             "(auto = numba when installed, else numpy)")
     cli = parser.parse_args()
-    result = run_figure2_measured(ncells=cli.ncells, dt=cli.dt,
-                                  backend=cli.backend)
+    result = run_figure2_measured(ncells=cli.ncells, dt=cli.dt)
     print(result.render())
-    print("backend: " + result.chemistry_stage["backend"])
-    print(", ".join(f"{k}={'OK' if v else 'MISS'}"
-                    for k, v in result.checks().items()))
+    checks = result.checks()
+    print(", ".join(f"{k}={'OK' if v else 'MISS'}" for k, v in checks.items()))
+    raise SystemExit(0 if all(checks.values()) else 1)

@@ -113,23 +113,14 @@ class BatchedLU:
     outlive many solves, so corruption-while-held is the realistic SDC
     window), and every solve is residual-checked against the original
     matrices at O(n²) per cell next to the O(n³) factorization.
-
-    ``backend`` dispatches the factor/solve kernels to an array backend
-    (``None`` means "auto"); the numpy backend delegates right back to
-    this module's reference functions, alternate backends must match the
-    same pivoting semantics (the parity suite holds them to ≤1e-9).
     """
 
-    def __init__(self, mats: np.ndarray, *, abft: bool = False,
-                 backend=None) -> None:
-        from repro.backend import resolve_backend
-
+    def __init__(self, mats: np.ndarray, *, abft: bool = False) -> None:
         mats = np.asarray(mats, dtype=float)
         self.abft = abft
-        self._backend = resolve_backend(backend)
         self._mats = np.array(mats, copy=True) if abft else None
         self._checksum = lu_checksum(mats) if abft else None
-        self.lu, self.piv = self._backend.lu_factor(mats)
+        self.lu, self.piv = batched_lu_factor(mats)
         if abft:
             verify_lu(self.lu, self.piv, self._checksum)
 
@@ -144,13 +135,13 @@ class BatchedLU:
         return verify_lu(self.lu, self.piv, self._checksum)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = self._backend.lu_solve(self.lu, self.piv, rhs)
+        x = batched_lu_solve_factored(self.lu, self.piv, rhs)
         if self.abft:
             verify_solve(self._mats, x, np.asarray(rhs, dtype=float))
         return x
 
     def solve_subset(self, idx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        x = self._backend.lu_solve(self.lu[idx], self.piv[idx], rhs)
+        x = batched_lu_solve_factored(self.lu[idx], self.piv[idx], rhs)
         if self.abft:
             verify_solve(self._mats[idx], x, np.asarray(rhs, dtype=float))
         return x
@@ -158,7 +149,7 @@ class BatchedLU:
     def update(self, idx: np.ndarray, mats: np.ndarray) -> None:
         """Refactor only the systems in *idx* (fresh Jacobians)."""
         mats = np.asarray(mats, dtype=float)
-        lu, piv = self._backend.lu_factor(mats)
+        lu, piv = batched_lu_factor(mats)
         self.lu[idx] = lu
         self.piv[idx] = piv
         if self.abft:

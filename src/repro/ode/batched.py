@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend
+from repro.backend.numpy_backend import NUMPY
 from repro.ode.bdf import IntegrationError
 from repro.resilience.abft import (
     SdcDetected,
@@ -131,8 +131,8 @@ class BatchedBdfState:
     stats: BatchedBdfStats = field(default_factory=BatchedBdfStats)
 
     snapshot_kind = "ode.batched_bdf_state"
-    #: v2 added the held Newton inverse (the backend fast path's factor
-    #: cache) so mid-integration restores resume bit-identically on it.
+    #: v2 added the held Newton inverse (the fast path's factor cache) so
+    #: mid-integration restores resume bit-identically on it.
     snapshot_version = 2
 
     @property
@@ -194,11 +194,8 @@ class BatchedBdfIntegrator:
         sdc_guard: bool = False,
         plausibility: Callable[[np.ndarray], np.ndarray] | None = None,
         tracer: "Tracer | None" = None,
-        backend: "str | ArrayBackend | None" = None,
     ) -> None:
         self.rhs = rhs
-        #: array engine for the Newton factor/solve kernels ("auto" default)
-        self._backend = resolve_backend(backend)
         self.jac = jac
         self.rtol = rtol
         self.atol = atol
@@ -318,8 +315,7 @@ class BatchedBdfIntegrator:
         iters0 = stats.newton_iters
         refact0 = stats.cells_refactored
         with tr.span("ode.newton", cat="ode", pid="ode", tid="batched",
-                     cells=int(active.sum()),
-                     backend=self._backend.name) as sp:
+                     cells=int(active.sum())) as sp:
             converged, Yn = self._newton_impl(
                 t_new, Y, Y_prev, Y_pred, a0, a1, a2, h, gamma, active,
                 J, J_valid, jac_age, lu, piv, inv, gamma_fact, fact_valid,
@@ -348,10 +344,10 @@ class BatchedBdfIntegrator:
         one fresh-Jacobian retry (CVODE's recovery ladder) before its step
         is abandoned.
 
-        Without ``sdc_guard`` the factor cache is the backend's explicit
-        inverse — one ``inv`` per refactorization, one matmul per
-        iteration — which modified Newton tolerates because each iterate
-        is corrected by the next residual.  With ``sdc_guard`` the LU
+        Without ``sdc_guard`` the factor cache is the explicit inverse —
+        one ``inv`` per refactorization, one matmul per iteration — which
+        modified Newton tolerates because each iterate is corrected by the
+        next residual.  With ``sdc_guard`` the LU
         factor/solve path is kept: the checksum and residual audits
         (:func:`verify_lu`/:func:`verify_solve`) are contracts on a
         backward-stable triangular solve, which an explicit inverse does
@@ -359,7 +355,6 @@ class BatchedBdfIntegrator:
         """
         B, n = Y.shape
         use_inv = not self.sdc_guard
-        be = self._backend
         diag = np.arange(n)
         Yn = np.where(active[:, None], Y_pred, Y)
         W = self._error_weights(Y_pred)
@@ -382,9 +377,9 @@ class BatchedBdfIntegrator:
                 M = -gamma[idx, None, None] * J[idx]
                 M[:, diag, diag] += 1.0
                 if use_inv:
-                    inv[idx] = be.inv(M)
+                    inv[idx] = NUMPY.inv(M)
                 else:
-                    lu[idx], piv[idx] = be.lu_factor(M)
+                    lu[idx], piv[idx] = NUMPY.lu_factor(M)
                     verify_lu(lu[idx], piv[idx], lu_checksum(M))
                 gamma_fact[idx] = gamma[idx]
                 fact_valid[idx] = True
@@ -401,9 +396,9 @@ class BatchedBdfIntegrator:
                             - h[:, None] * F) / a0[:, None]
                 uidx = np.flatnonzero(unconv)
                 if use_inv:
-                    delta = be.inv_apply(inv[uidx], -res[uidx])
+                    delta = NUMPY.inv_apply(inv[uidx], -res[uidx])
                 else:
-                    delta = be.lu_solve(lu[uidx], piv[uidx], -res[uidx])
+                    delta = NUMPY.lu_solve(lu[uidx], piv[uidx], -res[uidx])
                 if not audited:
                     # first solve of the round residual-checks the *held*
                     # factors: rebuild the iteration matrix they claim to
@@ -607,8 +602,7 @@ class BatchedBdfIntegrator:
                 self.step_round(state)
             return state.result()
         with tr.span("ode.integrate", cat="ode", pid="ode", tid="batched",
-                     ncells=int(np.asarray(y0).shape[0]),
-                     backend=self._backend.name) as sp:
+                     ncells=int(np.asarray(y0).shape[0])) as sp:
             state = self.start(y0, t0, t_end)
             while not state.finished:
                 self.step_round(state)

@@ -14,11 +14,10 @@ within a cutoff (≈5rₛ).  Verified: combined force ≈ Newtonian pair force.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfc
-
-from repro.backend import ArrayBackend, resolve_backend
 
 
 @dataclass(frozen=True)
@@ -112,17 +111,56 @@ def short_range_pair_force(r, rs: float, *, G: float = 1.0):
     )
 
 
+@lru_cache(maxsize=128)
+def triu_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Memoized ``np.triu_indices(n, k=1)`` — campaigns evaluate forces
+    for the same particle count thousands of times; callers must treat
+    the returned arrays as read-only."""
+    return np.triu_indices(n, k=1)
+
+
+def pairwise_forces(x: np.ndarray, masses: np.ndarray, *, G: float,
+                    rs: float | None = None, cutoff: float | None = None,
+                    box_size: float | None = None) -> np.ndarray:
+    """All i<j pair forces accumulated per particle.
+
+    ``rs`` selects the erfc-filtered short-range kernel (with ``cutoff``
+    and minimum-image ``box_size``); ``rs=None`` is the open-boundary
+    Newtonian direct sum.  Every pair is evaluated at once on memoized
+    triangular indices and scatter-added back.
+    """
+    n = len(x)
+    forces = np.zeros_like(x)
+    if n < 2:
+        return forces
+    ii, jj = triu_pairs(n)
+    d = x[jj] - x[ii]
+    if box_size is not None:
+        d -= box_size * np.round(d / box_size)
+    r = np.sqrt((d * d).sum(axis=1))
+    keep = r > 0.0
+    if cutoff is not None:
+        keep &= r < cutoff
+    ii, jj, d, r = ii[keep], jj[keep], d[keep], r[keep]
+    if rs is not None:
+        fmag = masses[ii] * masses[jj] * short_range_pair_force(r, rs, G=G)
+        fvec = (fmag / r)[:, None] * d
+    else:
+        fvec = (G * masses[ii] * masses[jj] / r**3)[:, None] * d
+    np.add.at(forces, ii, fvec)
+    np.add.at(forces, jj, -fvec)
+    return forces
+
+
 def short_range_forces(x: np.ndarray, masses: np.ndarray, box_size: float, *,
                        rs: float, cutoff: float | None = None,
-                       G: float = 1.0, vectorized: bool = True,
-                       backend: "str | ArrayBackend | None" = None
+                       G: float = 1.0, vectorized: bool = True
                        ) -> np.ndarray:
     """Direct short-range sum within the cutoff (minimum image).
 
-    The default path dispatches to the array backend's fused pairwise
-    kernel: every i<j pair at once on memoized triangular indices (one
-    erfc sweep over the surviving separations, scatter-added back) — the
-    HACC short-range kernel recast as array sweeps.
+    The default path is :func:`pairwise_forces`: every i<j pair at once
+    (one erfc sweep over the surviving separations, scatter-added back) —
+    the HACC short-range kernel recast as array sweeps.
     ``vectorized=False`` is the original per-pair Python loop, kept as
     the ablation the benchmark measures against.
     """
@@ -142,30 +180,28 @@ def short_range_forces(x: np.ndarray, masses: np.ndarray, box_size: float, *,
                 forces[i] += fvec
                 forces[j] -= fvec
         return forces
-    return resolve_backend(backend).pairwise_forces(
-        x, masses, G=G, rs=rs, cutoff=cutoff, box_size=box_size)
+    return pairwise_forces(x, masses, G=G, rs=rs, cutoff=cutoff,
+                           box_size=box_size)
 
 
 def p3m_forces(x: np.ndarray, masses: np.ndarray, grid: PMGrid, *,
                G: float = 1.0, r_split: float | None = None,
-               vectorized: bool = True,
-               backend: "str | ArrayBackend | None" = None) -> np.ndarray:
+               vectorized: bool = True) -> np.ndarray:
     """Total gravity: mesh long-range + direct short-range."""
     rs = r_split if r_split is not None else 1.5 * grid.cell
     return (
         long_range_forces(x, masses, grid, G=G, r_split=rs)
         + short_range_forces(x, masses, grid.box_size, rs=rs, G=G,
-                             vectorized=vectorized, backend=backend)
+                             vectorized=vectorized)
     )
 
 
 def direct_forces(x: np.ndarray, masses: np.ndarray, *, G: float = 1.0,
-                  vectorized: bool = True,
-                  backend: "str | ArrayBackend | None" = None) -> np.ndarray:
+                  vectorized: bool = True) -> np.ndarray:
     """Open-boundary direct sum (reference for isolated configurations).
 
-    Same backend-dispatched triangular broadcasting as
-    :func:`short_range_forces` (no splitting filter, no cutoff);
+    Same :func:`pairwise_forces` sweep as :func:`short_range_forces` (no
+    splitting filter, no cutoff);
     ``vectorized=False`` keeps the naive pair loop for ablation.
     """
     n = len(x)
@@ -181,4 +217,4 @@ def direct_forces(x: np.ndarray, masses: np.ndarray, *, G: float = 1.0,
                 forces[i] += fvec
                 forces[j] -= fvec
         return forces
-    return resolve_backend(backend).pairwise_forces(x, masses, G=G)
+    return pairwise_forces(x, masses, G=G)

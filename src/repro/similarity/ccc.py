@@ -115,14 +115,12 @@ def ccc_from_counts(counts: np.ndarray, n_fields: int) -> np.ndarray:
     return metric.max(axis=(0, 1))
 
 
-def ccc_similarity(data: np.ndarray, *, fp16: bool = True,
-                   use_gemm_tally: bool = True,
+def ccc_similarity(data: np.ndarray, *, use_gemm_tally: bool = True,
                    method: str = "popcount") -> np.ndarray:
     """End-to-end 2-way CCC over all vector pairs.
 
     ``use_gemm_tally`` selects the bit-packed/batched-GEMM tally engine
-    (default) or the naive loop ablation; ``fp16`` is honoured on the
-    legacy einsum path and is a no-op for the integer-exact popcount path.
+    (default) or the naive loop ablation.
     """
     if use_gemm_tally:
         counts = cooccurrence_counts(data, method=method)

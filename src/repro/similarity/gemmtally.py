@@ -42,8 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend
-from repro.backend.numpy_backend import popcount_words as _popcount
 from repro.gpu.kernel import KernelSpec
 from repro.hardware.gpu import Precision
 from repro.observability.tracer import NULL_TRACER, Tracer
@@ -93,34 +91,90 @@ def pack_alleles(data: np.ndarray, *, n_states: int = 2) -> PackedAlleles:
     return PackedAlleles(words=np.ascontiguousarray(words), n_fields=m)
 
 
-def popcount_tallies_2way(packed: PackedAlleles, *,
-                          backend: "str | ArrayBackend | None" = None
-                          ) -> np.ndarray:
+#: Byte-popcount lookup behind :func:`_popcount_words_lut`.
+POP8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+
+
+def _popcount_words_lut(words: np.ndarray) -> np.ndarray:
+    """Per-word popcount by byte lookup (the numpy < 2.0 fallback)."""
+    return POP8[words.view(np.uint8)].reshape(*words.shape, 8).sum(axis=-1)
+
+
+#: Per-word popcount: the hardware instruction where numpy has it.
+popcount_words = getattr(np, "bitwise_count", _popcount_words_lut)
+
+#: Element budget of one AND/popcount temporary in the tally kernels
+#: (2 MiB of uint64 words): large enough to amortise the numpy call
+#: overhead, small enough to stay cache-resident, and the row blocks it
+#: induces are what let the 2-way sweep skip the lower triangle.
+_SWEEP_BUDGET = 1 << 18
+
+
+def popcount_tallies_2way(packed: PackedAlleles) -> np.ndarray:
     """All-pairs 2-way tallies by popcount-on-AND word sweeps.
 
     Returns int64 ``counts[s, t, i, j]`` = #fields with vector i in state s
-    and vector j in state t.  Dispatched to the array backend's fused
-    kernel; the reference kernel treats the (n·S) word planes as one
-    symmetric row-pair matrix, sweeps its upper triangle in row blocks
-    (every state pair at once) and mirrors each block into the lower
-    triangle.  Integer exact on every backend.
+    and vector j in state t.  The (n·S) word planes form one symmetric
+    row-pair matrix; its upper triangle is swept in row blocks (every
+    state pair at once) and each block is mirrored into the lower
+    triangle.  Integer exact.
     """
-    return resolve_backend(backend).popcount_tallies_2way(packed.words)
+    words = packed.words
+    n, S, W = words.shape
+    N = n * S
+    flat = words.reshape(N, W)
+    counts = np.empty((N, N), dtype=np.int64)
+    r0 = 0
+    while r0 < N:
+        # rows r0:r1 against every row >= r0; the rest is the mirror
+        tri = flat[r0:]
+        r1 = min(N, r0 + max(1, _SWEEP_BUDGET // (len(tri) * W)))
+        rows = flat[r0:r1]
+        wb = max(1, _SWEEP_BUDGET // (len(rows) * len(tri)))
+        blk = np.zeros((len(rows), len(tri)), dtype=np.int64)
+        for w0 in range(0, W, wb):
+            blk += popcount_words(
+                rows[:, None, w0:w0 + wb] & tri[None, :, w0:w0 + wb]
+            ).sum(axis=-1, dtype=np.int64)
+        counts[r0:r1, r0:] = blk
+        counts[r0:, r0:r1] = blk.T
+        r0 = r1
+    return np.ascontiguousarray(
+        counts.reshape(n, S, n, S).transpose(1, 3, 0, 2))
 
 
-def popcount_tallies_3way(packed: PackedAlleles, *,
-                          backend: "str | ArrayBackend | None" = None
-                          ) -> np.ndarray:
+def popcount_tallies_3way(packed: PackedAlleles) -> np.ndarray:
     """All-triples 3-way tallies by three-operand popcount sweeps.
 
     Returns int64 ``counts[s, t, u, i, j, k]``, the full dense tensor.
-    Backend-dispatched; the reference kernel loops a pivot vector i, does
-    one (S, S, S, n−i, n−i, W) AND+popcount sweep over the simplex
-    j, k ≥ i, and copies it into the three index rotations that put i
-    first, so a triple of distinct vectors is swept twice (j, k in either
-    order) rather than six times.
+    Loops a pivot vector i, does one (S, S, S, n−i, n−i, W) AND+popcount
+    sweep over the simplex j, k ≥ i, and copies it into the three index
+    rotations that put i first, so a triple of distinct vectors is swept
+    twice (j, k in either order) rather than six times.
     """
-    return resolve_backend(backend).popcount_tallies_3way(packed.words)
+    words = packed.words
+    n, S, W = words.shape
+    counts = np.empty((S,) * 3 + (n,) * 3, dtype=np.int64)
+    planes = words.transpose(1, 0, 2)  # (S, n, W)
+    for i in range(n):
+        # T[s, t, u, j, k] for the pivot i and every j, k >= i
+        tail = planes[:, i:]
+        r = n - i
+        pair = tail[:, None, 0, None, :] & tail[None]  # (S, S, r, W)
+        jb = max(1, _SWEEP_BUDGET // (S**3 * r * W))
+        wb = max(1, _SWEEP_BUDGET // (S**3 * jb * r))
+        T = np.zeros((S,) * 3 + (r, r), dtype=np.int64)
+        for j0 in range(0, r, jb):
+            for w0 in range(0, W, wb):
+                tri = (pair[:, :, None, j0:j0 + jb, None, w0:w0 + wb]
+                       & tail[None, None, :, None, :, w0:w0 + wb])
+                T[:, :, :, j0:j0 + jb] += popcount_words(tri).sum(
+                    axis=-1, dtype=np.int64)
+        # the three rotations of (i, j, k) that put the pivot first
+        counts[..., i, i:, i:] = T
+        counts[..., i:, i:, i] = T.transpose(1, 2, 0, 3, 4)
+        counts[..., i:, i, i:] = T.transpose(2, 0, 1, 4, 3)
+    return counts
 
 
 def _state_planes(data: np.ndarray, n_states: int, dtype) -> np.ndarray:
@@ -221,12 +275,11 @@ def verify_tallies(counts: np.ndarray, row_checksum: np.ndarray,
 
 def tally_2way(data: np.ndarray, *, n_states: int = 2,
                method: str = "popcount", abft: bool = False,
-               tracer: Tracer | None = None,
-               backend: "str | ArrayBackend | None" = None) -> np.ndarray:
+               tracer: Tracer | None = None) -> np.ndarray:
     """2-way tallies through the GEMM-recast engine.
 
     ``method='popcount'`` runs the bit-packed word sweeps (the DUO 2-bit
-    path, dispatched to *backend*); ``'einsum'`` the batched one-hot
+    path); ``'einsum'`` the batched one-hot
     matmul (the FP16 tensor-core path, simulated in FP64); both are
     integer exact.  ``abft=True`` additionally audits the result against
     independently-computed marginal checksums (exact, zero tolerance)
@@ -234,17 +287,15 @@ def tally_2way(data: np.ndarray, *, n_states: int = 2,
     as ordinal spans; the tallies themselves are unaffected.
     """
     tr = tracer if tracer is not None else NULL_TRACER
-    be = resolve_backend(backend)
     with tr.span("similarity.tally_2way", cat="similarity", pid="similarity",
-                 tid="tally", method=method, n=int(np.asarray(data).shape[0]),
-                 backend=be.name):
+                 tid="tally", method=method, n=int(np.asarray(data).shape[0])):
         if method == "popcount":
             with tr.span("similarity.pack", cat="similarity",
                          pid="similarity", tid="tally"):
                 packed = pack_alleles(data, n_states=n_states)
             with tr.span("similarity.count_popcount", cat="similarity",
                          pid="similarity", tid="tally"):
-                counts = popcount_tallies_2way(packed, backend=be)
+                counts = popcount_tallies_2way(packed)
         elif method == "einsum":
             with tr.span("similarity.count_gemm", cat="similarity",
                          pid="similarity", tid="tally"):
@@ -262,21 +313,18 @@ def tally_2way(data: np.ndarray, *, n_states: int = 2,
 
 def tally_3way(data: np.ndarray, *, n_states: int = 2,
                method: str = "popcount",
-               tracer: Tracer | None = None,
-               backend: "str | ArrayBackend | None" = None) -> np.ndarray:
+               tracer: Tracer | None = None) -> np.ndarray:
     """3-way tallies through the GEMM-recast engine."""
     tr = tracer if tracer is not None else NULL_TRACER
-    be = resolve_backend(backend)
     with tr.span("similarity.tally_3way", cat="similarity", pid="similarity",
-                 tid="tally", method=method, n=int(np.asarray(data).shape[0]),
-                 backend=be.name):
+                 tid="tally", method=method, n=int(np.asarray(data).shape[0])):
         if method == "popcount":
             with tr.span("similarity.pack", cat="similarity",
                          pid="similarity", tid="tally"):
                 packed = pack_alleles(data, n_states=n_states)
             with tr.span("similarity.count_popcount", cat="similarity",
                          pid="similarity", tid="tally"):
-                counts = popcount_tallies_3way(packed, backend=be)
+                counts = popcount_tallies_3way(packed)
         elif method == "einsum":
             with tr.span("similarity.count_gemm", cat="similarity",
                          pid="similarity", tid="tally"):

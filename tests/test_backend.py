@@ -1,35 +1,22 @@
-"""Backend parity suite: every array backend against the numpy reference.
+"""Parity suite for the numpy kernels, each against an independent reference.
 
-The contract of :mod:`repro.backend`: alternate backends are *drop-in*
-for the three hot kernel families — integer-exact popcount tallies,
-≤1e-9 relative batched LU / pairwise forces, roundoff-level fused
-chemistry rates — plus registry semantics, stub behavior, and
-checkpoint/restore of a mid-flight integration under a non-default
-backend.  Parametrized over whatever backends the process actually has,
-so the same file is the acceptance suite for a future numba/cupy/JAX
-host (the CI matrix job pins ``REPRO_BACKEND`` to force each one).
+Batched LU / inverse against ``np.linalg.solve``, fused chemistry rates
+against the generated kernel and against a per-slice loop, popcount
+tallies integer-exact against the naive sweeps they replaced, pairwise
+forces against the per-pair loops, batched chemistry against the scalar
+integrator — plus checkpoint/restore of a mid-flight integration.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import (
-    ArrayBackend,
-    BackendUnavailable,
-    available_backends,
-    backend_available,
-    get_backend,
-    register_backend,
-    registered_backends,
-    resolve_backend,
-)
-from repro.backend.numpy_backend import NumpyBackend, popcount_words
+from repro.backend.numpy_backend import NUMPY
 from repro.chem.fused import rate_tables
 from repro.chem.mechanism import drm19_like_mechanism, h2_o2_mechanism
-
-BACKENDS = available_backends()
-REF = get_backend("numpy")
+from repro.particles import pm
+from repro.similarity import gemmtally
+from repro.similarity.gemmtally import pack_alleles, popcount_words
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -43,66 +30,21 @@ def _spd_stack(rng, b: int, n: int) -> np.ndarray:
     return mats
 
 
-# ---------------------------------------------------------------------------
-# registry semantics
-# ---------------------------------------------------------------------------
+def _solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """LAPACK reference for a (batch, n) right-hand side."""
+    return np.linalg.solve(mats, rhs[..., None])[..., 0]
 
 
-class TestRegistry:
-    def test_numpy_always_available(self):
-        assert "numpy" in BACKENDS
-        assert isinstance(get_backend("numpy"), NumpyBackend)
+@pytest.fixture
+def engine(request):
+    return request.param
 
-    def test_registered_includes_stubs(self):
-        names = registered_backends()
-        for expected in ("numpy", "numba", "cupy", "jax"):
-            assert expected in names
 
-    def test_stubs_never_available(self):
-        assert not backend_available("cupy")
-        assert not backend_available("jax")
-
-    def test_stub_construction_raises_with_porting_guidance(self):
-        with pytest.raises(BackendUnavailable, match="tests/test_backend"):
-            get_backend("cupy")
-
-    def test_unknown_name_raises_keyerror(self):
-        with pytest.raises(KeyError, match="no-such-engine"):
-            get_backend("no-such-engine")
-
-    def test_instances_are_cached(self):
-        assert get_backend("numpy") is get_backend("numpy")
-
-    def test_passthrough_and_resolve(self):
-        be = get_backend("numpy")
-        assert get_backend(be) is be
-        assert resolve_backend(be) is be
-        assert isinstance(resolve_backend(None), ArrayBackend)
-
-    def test_auto_honors_env_pin(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert get_backend("auto").name == "numpy"
-        monkeypatch.setenv("REPRO_BACKEND", "cupy")
-        with pytest.raises(BackendUnavailable):
-            get_backend("auto")
-
-    def test_register_and_probe_gate(self):
-        class Fake(NumpyBackend):
-            name = "fake-test-backend"
-
-        register_backend("fake-test-backend", Fake, probe=lambda: False)
-        try:
-            assert "fake-test-backend" in registered_backends()
-            assert "fake-test-backend" not in available_backends()
-            with pytest.raises(BackendUnavailable):
-                get_backend("fake-test-backend")
-        finally:
-            # leave the registry as the rest of the suite expects it
-            import repro.backend as reg
-
-            reg._FACTORIES.pop("fake-test-backend", None)
-            reg._PROBES.pop("fake-test-backend", None)
-            reg._INSTANCES.pop("fake-test-backend", None)
+def numpy_tagged(cls):
+    """Tag each test of *cls* ``[numpy]``, the id it carried when this
+    suite was parametrized over array engines, so test ids stay stable."""
+    cls = pytest.mark.parametrize("engine", ["numpy"], indirect=True)(cls)
+    return pytest.mark.usefixtures("engine")(cls)
 
 
 # ---------------------------------------------------------------------------
@@ -110,54 +52,49 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", BACKENDS)
+@numpy_tagged
 class TestLinalgParity:
-    def test_lu_solves_random_systems(self, name):
-        be = get_backend(name)
+    def test_lu_solves_random_systems(self):
         rng = _rng(7)
         mats = _spd_stack(rng, 12, 6)
         rhs = rng.normal(size=(12, 6))
-        lu, piv = be.lu_factor(mats)
-        x = be.lu_solve(lu, piv, rhs)
+        lu, piv = NUMPY.lu_factor(mats)
+        x = NUMPY.lu_solve(lu, piv, rhs)
         resid = np.einsum("bij,bj->bi", mats, x) - rhs
         assert np.abs(resid).max() < 1e-9
 
-    def test_lu_matches_reference_within_tolerance(self, name):
-        be = get_backend(name)
+    def test_lu_matches_reference_within_tolerance(self):
         rng = _rng(8)
         mats = _spd_stack(rng, 9, 5)
         rhs = rng.normal(size=(9, 5))
-        x_ref = REF.lu_solve(*REF.lu_factor(mats), rhs)
-        x = be.lu_solve(*be.lu_factor(mats), rhs)
+        x_ref = _solve(mats, rhs)
+        x = NUMPY.lu_solve(*NUMPY.lu_factor(mats), rhs)
         scale = np.abs(x_ref).max() + 1e-300
         assert np.abs(x - x_ref).max() / scale < 1e-9
 
-    def test_lu_handles_pivoting(self, name):
-        be = get_backend(name)
+    def test_lu_handles_pivoting(self):
         # leading zero forces a row swap in every system
         mats = np.array([[[0.0, 2.0], [3.0, 1.0]],
                          [[1e-30, 1.0], [1.0, 1.0]]])
         rhs = np.array([[4.0, 5.0], [1.0, 2.0]])
-        x = be.lu_solve(*be.lu_factor(mats), rhs)
+        x = NUMPY.lu_solve(*NUMPY.lu_factor(mats), rhs)
         resid = np.einsum("bij,bj->bi", mats, x) - rhs
         assert np.abs(resid).max() < 1e-9
 
-    def test_inverse_apply_matches_solve(self, name):
-        be = get_backend(name)
+    def test_inverse_apply_matches_solve(self):
         rng = _rng(9)
         mats = _spd_stack(rng, 8, 7)
         rhs = rng.normal(size=(8, 7))
-        x = be.inv_apply(be.inv(mats), rhs)
-        x_ref = REF.lu_solve(*REF.lu_factor(mats), rhs)
+        x = NUMPY.inv_apply(NUMPY.inv(mats), rhs)
+        x_ref = _solve(mats, rhs)
         scale = np.abs(x_ref).max() + 1e-300
         assert np.abs(x - x_ref).max() / scale < 1e-9
 
-    def test_matrix_rhs_solve(self, name):
-        be = get_backend(name)
+    def test_matrix_rhs_solve(self):
         rng = _rng(10)
         mats = _spd_stack(rng, 4, 5)
         rhs = rng.normal(size=(4, 5, 3))
-        x = be.lu_solve(*be.lu_factor(mats), rhs)
+        x = NUMPY.lu_solve(*NUMPY.lu_factor(mats), rhs)
         resid = np.matmul(mats, x) - rhs
         assert np.abs(resid).max() < 1e-9
 
@@ -169,16 +106,14 @@ class TestLinalgParity:
     seed=st.integers(0, 2**31 - 1),
 )
 def test_lu_parity_property(b, n, seed):
-    """All available backends agree on random well-conditioned stacks."""
+    """The batched LU agrees with LAPACK on random well-conditioned stacks."""
     rng = _rng(seed)
     mats = _spd_stack(rng, b, n)
     rhs = rng.normal(size=(b, n))
-    x_ref = REF.lu_solve(*REF.lu_factor(mats), rhs)
+    x_ref = _solve(mats, rhs)
     scale = np.abs(x_ref).max() + 1e-300
-    for name in BACKENDS:
-        be = get_backend(name)
-        x = be.lu_solve(*be.lu_factor(mats), rhs)
-        assert np.abs(x - x_ref).max() / scale < 1e-9, name
+    x = NUMPY.lu_solve(*NUMPY.lu_factor(mats), rhs)
+    assert np.abs(x - x_ref).max() / scale < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +121,14 @@ def test_lu_parity_property(b, n, seed):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", BACKENDS)
+@numpy_tagged
 @pytest.mark.parametrize("mech_fn", [h2_o2_mechanism, drm19_like_mechanism])
 class TestRatesParity:
-    def test_wdot_matches_generated_kernel(self, name, mech_fn):
+    def test_wdot_matches_generated_kernel(self, mech_fn):
         from repro.chem.codegen import compile_batched_kernels
 
         mech = mech_fn()
-        be = get_backend(name)
-        kernel = be.rates_kernel(rate_tables(mech))
+        kernel = NUMPY.rates_kernel(rate_tables(mech))
         rng = _rng(3)
         T = rng.uniform(1200.0, 1800.0, 5)
         C = rng.uniform(0.05, 1.0, (5, mech.n_species))
@@ -204,11 +138,11 @@ class TestRatesParity:
         scale = np.abs(want).max() + 1e-300
         assert np.abs(got - want).max() / scale < 1e-12
 
-    def test_wdot_broadcasts_fd_perturbation_stack(self, name, mech_fn):
-        """The FD-Jacobian shape: (n, B, n) leading-axis broadcasting."""
+    def test_wdot_broadcasts_fd_perturbation_stack(self, mech_fn):
+        """The FD-Jacobian shape: (n, B, n) leading-axis broadcasting
+        equals evaluating each perturbed copy on its own."""
         mech = mech_fn()
-        be = get_backend(name)
-        kernel = be.rates_kernel(rate_tables(mech))
+        kernel = NUMPY.rates_kernel(rate_tables(mech))
         rng = _rng(4)
         n = mech.n_species
         T = rng.uniform(1200.0, 1800.0, 3)
@@ -216,8 +150,7 @@ class TestRatesParity:
         kf, kr = kernel.rate_constants(T)
         got = kernel.wdot(kf, kr, C)
         assert got.shape == (n, 3, n)
-        ref_kernel = REF.rates_kernel(rate_tables(mech))
-        want = ref_kernel.wdot(kf, kr, C)
+        want = np.stack([kernel.wdot(kf, kr, C[p]) for p in range(n)])
         scale = np.abs(want).max() + 1e-300
         assert np.abs(got - want).max() / scale < 1e-12
 
@@ -240,7 +173,7 @@ def _reference_tallies_2way(words: np.ndarray) -> np.ndarray:
 
 
 #: The element budget of the parent kernels below, frozen so that tests
-#: which shrink ``numpy_backend._SWEEP_BUDGET`` leave the reference alone.
+#: which shrink ``gemmtally._SWEEP_BUDGET`` leave the reference alone.
 _PARENT_SWEEP_BUDGET = 1 << 24
 
 
@@ -278,43 +211,46 @@ def _assert_same_tallies(got: np.ndarray, want: np.ndarray, msg: str = ""):
     np.testing.assert_array_equal(got, want, err_msg=msg)
 
 
-@pytest.mark.parametrize("name", BACKENDS)
-class TestTallyParity:
-    def test_2way_exact_on_random_data(self, name):
-        from repro.similarity.gemmtally import pack_alleles
+def test_popcount_lut_matches_bitwise_count():
+    """The byte-lookup popcount (numpy < 2.0) counts every bit of a word."""
+    words = _rng(18).integers(0, 2**64, size=(5, 3, 37), dtype=np.uint64)
+    words[0, 0, :2] = [0, 2**64 - 1]
+    want = np.array([bin(int(w)).count("1") for w in words.ravel()]
+                    ).reshape(words.shape)
+    np.testing.assert_array_equal(gemmtally._popcount_words_lut(words), want)
+    np.testing.assert_array_equal(popcount_words(words), want)
+    if hasattr(np, "bitwise_count"):
+        assert popcount_words is np.bitwise_count
 
-        be = get_backend(name)
+
+@numpy_tagged
+class TestTallyParity:
+    def test_2way_exact_on_random_data(self):
         rng = _rng(11)
         data = rng.integers(0, 3, size=(9, 130))  # 3 states, 3 words
         packed = pack_alleles(data, n_states=3)
-        got = be.popcount_tallies_2way(packed.words)
+        got = gemmtally.popcount_tallies_2way(packed)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got,
                                       _reference_tallies_2way(packed.words))
 
-    def test_2way_all_missing_column(self, name):
+    def test_2way_all_missing_column(self):
         """Vectors whose fields all fall outside [0, n_states) tally zero."""
-        from repro.similarity.gemmtally import pack_alleles
-
-        be = get_backend(name)
         rng = _rng(12)
         data = rng.integers(0, 2, size=(6, 70))
         data[2, :] = 9  # entirely missing vector: no state plane bits
         packed = pack_alleles(data, n_states=2)
-        counts = be.popcount_tallies_2way(packed.words)
+        counts = gemmtally.popcount_tallies_2way(packed)
         assert (counts[:, :, 2, :] == 0).all()
         assert (counts[:, :, :, 2] == 0).all()
 
-    def test_2way_constant_column(self, name):
+    def test_2way_constant_column(self):
         """A constant vector pairs its full field count with itself."""
-        from repro.similarity.gemmtally import pack_alleles
-
-        be = get_backend(name)
         m = 97
         data = np.zeros((4, m), dtype=np.int64)
         data[1, :] = 1
         packed = pack_alleles(data, n_states=2)
-        counts = be.popcount_tallies_2way(packed.words)
+        counts = gemmtally.popcount_tallies_2way(packed)
         assert counts[0, 0, 0, 0] == m       # all-zero vs itself in state 0
         assert counts[1, 1, 1, 1] == m       # all-one vs itself in state 1
         assert counts[0, 1, 0, 1] == m       # cross-state pairing
@@ -322,42 +258,44 @@ class TestTallyParity:
         np.testing.assert_array_equal(counts,
                                       _reference_tallies_2way(packed.words))
 
-    def test_3way_exact_on_random_data(self, name):
-        from repro.similarity.gemmtally import (
-            einsum_tallies_3way,
-            pack_alleles,
-        )
-
-        be = get_backend(name)
+    def test_3way_exact_on_random_data(self):
         rng = _rng(13)
         data = rng.integers(0, 2, size=(5, 80))
         packed = pack_alleles(data, n_states=2)
-        got = be.popcount_tallies_3way(packed.words)
-        np.testing.assert_array_equal(got, einsum_tallies_3way(data))
+        got = gemmtally.popcount_tallies_3way(packed)
+        np.testing.assert_array_equal(got,
+                                      gemmtally.einsum_tallies_3way(data))
 
-    def test_2way_word_block_chunking(self, name, monkeypatch):
+    def test_2way_word_block_chunking(self, monkeypatch):
         """A small sweep budget chunks both kernels and stays exact.
 
         At 64 elements the 2-way sweep takes one row per block and splits
         its words, and the 3-way sweep takes one j row and one word per
         block; at 512 the 2-way row blocks hold several full-width rows.
         """
-        from repro.similarity.gemmtally import pack_alleles
-
-        import repro.backend.numpy_backend as nb
-
-        be = get_backend(name)
         rng = _rng(14)
         data = rng.integers(0, 2, size=(8, 64 * 7 + 3))
         packed = pack_alleles(data, n_states=2)
         want2 = _reference_tallies_2way(packed.words)
         want3 = _parent_tallies_3way(packed.words)
         for budget in (64, 512):
-            monkeypatch.setattr(nb, "_SWEEP_BUDGET", budget)
-            _assert_same_tallies(be.popcount_tallies_2way(packed.words),
+            monkeypatch.setattr(gemmtally, "_SWEEP_BUDGET", budget)
+            _assert_same_tallies(gemmtally.popcount_tallies_2way(packed),
                                  want2, f"2-way, budget {budget}")
-            _assert_same_tallies(be.popcount_tallies_3way(packed.words),
+            _assert_same_tallies(gemmtally.popcount_tallies_3way(packed),
                                  want3, f"3-way, budget {budget}")
+
+    def test_tallies_on_lut_popcount(self, monkeypatch):
+        """Both kernels stay exact on the numpy < 2.0 popcount."""
+        rng = _rng(19)
+        data = rng.integers(-1, 3, size=(7, 64 * 2 + 5))
+        packed = pack_alleles(data, n_states=3)
+        want2 = _reference_tallies_2way(packed.words)
+        want3 = _parent_tallies_3way(packed.words)
+        monkeypatch.setattr(gemmtally, "popcount_words",
+                            gemmtally._popcount_words_lut)
+        _assert_same_tallies(gemmtally.popcount_tallies_2way(packed), want2)
+        _assert_same_tallies(gemmtally.popcount_tallies_3way(packed), want3)
 
 
 @settings(max_examples=20, deadline=None)
@@ -368,25 +306,20 @@ class TestTallyParity:
     seed=st.integers(0, 2**31 - 1),
 )
 def test_tally_2way_parity_property(n, m, n_states, seed):
-    from repro.similarity.gemmtally import einsum_tallies_2way, pack_alleles
-
     rng = _rng(seed)
     # include out-of-range values: missing fields must stay excluded
     data = rng.integers(0, n_states + 1, size=(n, m))
     packed = pack_alleles(data, n_states=n_states)
-    want = einsum_tallies_2way(data, n_states=n_states)
-    for name in BACKENDS:
-        got = get_backend(name).popcount_tallies_2way(packed.words)
-        np.testing.assert_array_equal(got, want, err_msg=name)
+    want = gemmtally.einsum_tallies_2way(data, n_states=n_states)
+    np.testing.assert_array_equal(gemmtally.popcount_tallies_2way(packed),
+                                  want)
 
 
 @st.composite
-def _allele_words(draw):
+def _allele_planes(draw):
     """Packed planes for n in 1..9, S in 1..3, m in 1..200, with missing
     values (-1 and S fall outside every state) and, sometimes, one vector
     whose fields are all missing."""
-    from repro.similarity.gemmtally import pack_alleles
-
     n = draw(st.integers(1, 9))
     n_states = draw(st.integers(1, 3))
     m = draw(st.integers(1, 200))
@@ -395,20 +328,18 @@ def _allele_words(draw):
     missing = draw(st.one_of(st.none(), st.integers(0, n - 1)))
     if missing is not None:
         data[missing] = -1
-    return pack_alleles(data, n_states=n_states).words
+    return pack_alleles(data, n_states=n_states)
 
 
 @settings(max_examples=60, deadline=None)
-@given(words=_allele_words())
-def test_tally_kernels_match_parent_kernels(words):
+@given(packed=_allele_planes())
+def test_tally_kernels_match_parent_kernels(packed):
     """The symmetric kernels equal the full sweeps they replaced, entry for
     entry, degenerate index tuples included."""
-    want2 = _parent_tallies_2way(words)
-    want3 = _parent_tallies_3way(words)
-    for name in BACKENDS:
-        be = get_backend(name)
-        _assert_same_tallies(be.popcount_tallies_2way(words), want2, name)
-        _assert_same_tallies(be.popcount_tallies_3way(words), want3, name)
+    _assert_same_tallies(gemmtally.popcount_tallies_2way(packed),
+                         _parent_tallies_2way(packed.words))
+    _assert_same_tallies(gemmtally.popcount_tallies_3way(packed),
+                         _parent_tallies_3way(packed.words))
 
 
 # ---------------------------------------------------------------------------
@@ -416,97 +347,96 @@ def test_tally_kernels_match_parent_kernels(words):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", BACKENDS)
+@numpy_tagged
 class TestForcesParity:
-    def test_short_range_matches_naive_loop(self, name):
-        from repro.particles.pm import short_range_forces
-
+    def test_short_range_matches_naive_loop(self):
         rng = _rng(15)
         box, rs = 10.0, 0.8
         x = rng.uniform(0, box, (20, 3))
         masses = rng.uniform(0.5, 2.0, 20)
-        want = short_range_forces(x, masses, box, rs=rs, vectorized=False)
-        got = get_backend(name).pairwise_forces(
-            x, masses, G=1.0, rs=rs, cutoff=5.0 * rs, box_size=box)
+        want = pm.short_range_forces(x, masses, box, rs=rs, vectorized=False)
+        got = pm.pairwise_forces(x, masses, G=1.0, rs=rs, cutoff=5.0 * rs,
+                                 box_size=box)
         scale = np.abs(want).max() + 1e-300
         assert np.abs(got - want).max() / scale < 1e-9
 
-    def test_direct_matches_naive_loop(self, name):
-        from repro.particles.pm import direct_forces
-
+    def test_direct_matches_naive_loop(self):
         rng = _rng(16)
         x = rng.uniform(0, 4.0, (15, 3))
         masses = rng.uniform(0.5, 2.0, 15)
-        want = direct_forces(x, masses, vectorized=False)
-        got = get_backend(name).pairwise_forces(x, masses, G=1.0)
+        want = pm.direct_forces(x, masses, vectorized=False)
+        got = pm.pairwise_forces(x, masses, G=1.0)
         scale = np.abs(want).max() + 1e-300
         assert np.abs(got - want).max() / scale < 1e-9
 
-    def test_forces_edge_cases(self, name):
-        be = get_backend(name)
+    def test_forces_edge_cases(self):
         x1 = np.array([[1.0, 2.0, 3.0]])
         m1 = np.array([1.0])
-        assert np.array_equal(be.pairwise_forces(x1, m1, G=1.0),
+        assert np.array_equal(pm.pairwise_forces(x1, m1, G=1.0),
                               np.zeros((1, 3)))
         # coincident particles are dropped, not divided by zero
         x2 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         m2 = np.ones(2)
-        got = be.pairwise_forces(x2, m2, G=1.0, rs=0.5, cutoff=2.0,
+        got = pm.pairwise_forces(x2, m2, G=1.0, rs=0.5, cutoff=2.0,
                                  box_size=5.0)
         assert np.isfinite(got).all()
         assert np.array_equal(got, np.zeros((2, 3)))
 
-    def test_newtons_third_law(self, name):
+    def test_newtons_third_law(self):
         rng = _rng(17)
         x = rng.uniform(0, 6.0, (12, 3))
         masses = rng.uniform(0.5, 2.0, 12)
-        got = get_backend(name).pairwise_forces(
-            x, masses, G=1.0, rs=0.9, cutoff=4.5, box_size=6.0)
+        got = pm.pairwise_forces(x, masses, G=1.0, rs=0.9, cutoff=4.5,
+                                 box_size=6.0)
         assert np.abs(got.sum(axis=0)).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: integration parity and checkpoint/restore across backends
+# end-to-end: batched chemistry and checkpoint/restore
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", BACKENDS)
+def _fused_integrator(cfg, T, **kwargs):
+    """A batched integrator on the fused rates kernel for field *T*."""
+    from repro.ode import BatchedBdfIntegrator
+
+    kernel = NUMPY.rates_kernel(rate_tables(cfg.mechanism))
+    kf, kr = kernel.rate_constants(T)
+    return BatchedBdfIntegrator(
+        lambda t, conc: kernel.wdot(kf, kr, np.maximum(conc, 0.0)), **kwargs)
+
+
+@numpy_tagged
 class TestIntegrationAcrossBackends:
-    def test_chemistry_integration_matches_reference(self, name):
+    def test_chemistry_integration_matches_reference(self):
         from repro.apps.pele import (
             PeleConfig,
             chemistry_field,
             integrate_chemistry_batched,
+            integrate_chemistry_scalar,
         )
 
         cfg = PeleConfig(mechanism=h2_o2_mechanism())
         T, C0 = chemistry_field(cfg, 6, seed=1)
-        ref = integrate_chemistry_batched(cfg, T, C0, 1e-7, backend="numpy")
-        got = integrate_chemistry_batched(cfg, T, C0, 1e-7, backend=name)
-        scale = np.abs(ref.y).max() + 1e-300
-        assert np.abs(got.y - ref.y).max() / scale < 1e-6
+        ref = integrate_chemistry_scalar(cfg, T, C0, 1e-7)
+        got = integrate_chemistry_batched(cfg, T, C0, 1e-7)
+        scale = np.abs(ref).max() + 1e-300
+        assert np.abs(got.y - ref).max() / scale < 1e-6
 
-    def test_mid_integration_checkpoint_restore(self, name):
-        """Pause/snapshot/restore under a non-default backend is exact."""
+    def test_mid_integration_checkpoint_restore(self):
+        """Pause/snapshot/restore mid-integration resumes exactly."""
         from repro.apps.pele import PeleConfig, chemistry_field
         from repro.chem.codegen import compile_batched_kernels
-        from repro.ode import BatchedBdfIntegrator
 
         cfg = PeleConfig(mechanism=h2_o2_mechanism())
         T, C0 = chemistry_field(cfg, 5, seed=2)
         kernels = compile_batched_kernels(cfg.mechanism)
-        be = get_backend(name)
-        kernel = be.rates_kernel(rate_tables(cfg.mechanism))
-        kf, kr = kernel.rate_constants(T)
-
-        def rhs(t, conc):
-            return kernel.wdot(kf, kr, np.maximum(conc, 0.0))
 
         def jac(t, conc):
             return kernels.jacobian(T, np.maximum(conc, 0.0))
 
         def integrator():
-            return BatchedBdfIntegrator(rhs, jac=jac, backend=be)
+            return _fused_integrator(cfg, T, jac=jac)
 
         base = integrator()
         uninterrupted = integrator()
@@ -516,8 +446,7 @@ class TestIntegrationAcrossBackends:
             base.step_round(state)
         snap = state.snapshot()
 
-        resumed = integrator().start(C0, 0.0, 1e-7)
-        resumed_state = resumed  # BatchedBdfState
+        resumed_state = integrator().start(C0, 0.0, 1e-7)
         resumed_state.restore(snap)
         # the held Newton caches (J/lu/inv) travel with the snapshot
         np.testing.assert_array_equal(resumed_state.inv, state.inv)
@@ -530,24 +459,16 @@ class TestIntegrationAcrossBackends:
         np.testing.assert_array_equal(resumed_state.Y, ref_state.Y)
         np.testing.assert_array_equal(resumed_state.t, ref_state.t)
 
-    def test_snapshot_version_guard(self, name):
+    def test_snapshot_version_guard(self):
         """v1 snapshots (no held inverse) are refused, not misread."""
+        from repro.apps.pele import PeleConfig, chemistry_field
         from repro.resilience.snapshot import SnapshotError
 
-        from repro.chem.mechanism import h2_o2_mechanism as mech_fn
-        from repro.apps.pele import PeleConfig, chemistry_field
-        from repro.ode import BatchedBdfIntegrator
-
-        cfg = PeleConfig(mechanism=mech_fn())
+        cfg = PeleConfig(mechanism=h2_o2_mechanism())
         T, C0 = chemistry_field(cfg, 3, seed=3)
-        be = get_backend(name)
-        kernel = be.rates_kernel(rate_tables(cfg.mechanism))
-        kf, kr = kernel.rate_constants(T)
-        integ = BatchedBdfIntegrator(
-            lambda t, conc: kernel.wdot(kf, kr, np.maximum(conc, 0.0)),
-            backend=be)
-        state = integ.start(C0, 0.0, 1e-8)
+        state = _fused_integrator(cfg, T).start(C0, 0.0, 1e-8)
         snap = state.snapshot()
+        assert snap.version == 2
         stale = type(snap)(kind=snap.kind, version=1, payload=snap.payload)
         with pytest.raises(SnapshotError):
             state.restore(stale)
