@@ -14,12 +14,15 @@ with
 * batched Newton solves through :mod:`repro.linalg.batched` LU factors
   held and reused across Newton iterations and steps (refreshed only when
   convergence degrades, the Jacobian ages out, or gamma drifts);
-* per-cell adaptive step/error control with masked convergence: cells
-  that converge or finish freeze while stiff cells keep iterating.
+* per-cell variable-order (1–5), variable-step control with masked
+  convergence: each cell carries its own BDF order, step size and
+  equal-step count, and cells that converge or finish freeze while stiff
+  cells keep iterating.
 
-The per-cell algorithm is the same variable-step BDF(1,2) with modified
-Newton as the scalar integrator, so results agree within solver
-tolerances (the ablation bench asserts this).
+The per-cell algorithm is the scalar integrator's — both call the
+batch-axis BDF helpers of :mod:`repro.ode.bdf` — so a cell's answer does
+not depend on the batch it rides in, and results agree with the scalar
+path within solver tolerances (the ablation bench asserts this).
 """
 
 from __future__ import annotations
@@ -30,7 +33,17 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.backend.numpy_backend import NUMPY
-from repro.ode.bdf import IntegrationError
+from repro.ode.bdf import (
+    ALPHA,
+    IntegrationError,
+    accept_step,
+    error_test,
+    initial_differences,
+    initial_step,
+    predict,
+    rescale,
+    wrms,
+)
 from repro.resilience.abft import (
     SdcDetected,
     lu_checksum,
@@ -87,9 +100,8 @@ _STATS_FIELDS = (
 #: (name, dtype) of every array carried across lockstep rounds — the full
 #: resumable state, *including* the Jacobian/LU reuse caches.
 _STATE_ARRAYS = (
-    ("t", float), ("Y", float), ("F0", float), ("h", float),
-    ("Y_prev", float), ("h_prev", float), ("have_prev", bool),
-    ("past_t", float), ("past_y", float), ("past_cnt", np.int64),
+    ("t", float), ("Y", float), ("D", float), ("h", float),
+    ("order", np.int64), ("n_equal_steps", np.int64),
     ("J", float), ("J_valid", bool), ("jac_age", np.int64),
     ("lu", float), ("piv", np.intp), ("inv", float), ("gamma_fact", float),
     ("fact_valid", bool), ("steps_per_cell", np.int64), ("done", bool),
@@ -110,14 +122,10 @@ class BatchedBdfState:
     t_scale: float
     t: np.ndarray
     Y: np.ndarray
-    F0: np.ndarray
+    D: np.ndarray              # (ncells, MAX_ORDER + 3, n) differences
     h: np.ndarray
-    Y_prev: np.ndarray
-    h_prev: np.ndarray
-    have_prev: np.ndarray
-    past_t: np.ndarray
-    past_y: np.ndarray
-    past_cnt: np.ndarray
+    order: np.ndarray
+    n_equal_steps: np.ndarray
     J: np.ndarray
     J_valid: np.ndarray
     jac_age: np.ndarray
@@ -132,8 +140,9 @@ class BatchedBdfState:
 
     snapshot_kind = "ode.batched_bdf_state"
     #: v2 added the held Newton inverse (the fast path's factor cache) so
-    #: mid-integration restores resume bit-identically on it.
-    snapshot_version = 2
+    #: mid-integration restores resume bit-identically on it; v3 replaced
+    #: the BDF(1,2) point history with the variable-order difference array.
+    snapshot_version = 3
 
     @property
     def finished(self) -> bool:
@@ -149,7 +158,8 @@ class BatchedBdfState:
             "stats": {f: int(getattr(self.stats, f)) for f in _STATS_FIELDS},
         }
         for name, _ in _STATE_ARRAYS:
-            payload[name] = getattr(self, name)
+            # copies: the round loop updates several arrays in place
+            payload[name] = getattr(self, name).copy()
         return Snapshot(self.snapshot_kind, self.snapshot_version, payload)
 
     def restore(self, snap: Snapshot) -> None:
@@ -165,7 +175,7 @@ class BatchedBdfState:
 
 
 class BatchedBdfIntegrator:
-    """Variable-step BDF(1,2) over a batch of independent stiff systems.
+    """Variable-order BDF (1–5) over a batch of independent stiff systems.
 
     ``sdc_guard=True`` arms the silent-data-corruption defenses: fresh
     Newton factorizations are checksum-verified
@@ -215,13 +225,6 @@ class BatchedBdfIntegrator:
     def _error_weights(self, Y: np.ndarray) -> np.ndarray:
         return 1.0 / (self.rtol * np.abs(Y) + self.atol)
 
-    @staticmethod
-    def _wrms(E: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Per-cell weighted RMS norm over the species axis."""
-        EW = E * W
-        # einsum sidesteps np.mean's reduction machinery on this hot path
-        return np.sqrt(np.einsum("...j,...j->...", EW, EW) / EW.shape[-1])
-
     def _build_jacobian(self, t, Y: np.ndarray,
                         stats: BatchedBdfStats) -> np.ndarray:
         tr = self.tracer
@@ -266,50 +269,13 @@ class BatchedBdfIntegrator:
                 f"step size underflow in cell {i} at t={t[i]:.3e}"
             )
 
-    def _error_estimate(self, past_t, past_y, past_cnt, have_prev,
-                        t_new, Yn, h, W) -> np.ndarray:
-        """Per-cell WRMS local-truncation-error estimate.
-
-        Mirrors the scalar integrator: the highest-order Newton divided
-        difference of the last implicit solution points, with the number
-        of points selected per cell (ragged histories are handled by
-        computing all three candidate differences vectorized and picking
-        per cell)."""
-        pts_t = np.concatenate([past_t, t_new[:, None]], axis=1)       # (B, 5)
-        pts_y = np.concatenate([past_y, Yn[:, None, :]], axis=1)       # (B, 5, n)
-        order = np.where(have_prev, 2, 1)
-        npts = np.minimum(past_cnt, order + 1) + 1                     # in {2,3,4}
-        # only compute the difference levels some cell actually selects —
-        # after warmup that is usually just m=4, a third of the old work
-        dds = {}
-        for m in (2, 3, 4):
-            if not (npts == m).any():
-                continue
-            Tm = pts_t[:, -m:]
-            Yv = pts_y[:, -m:, :]
-            for level in range(1, m):
-                denom = (Tm[:, level:] - Tm[:, :-level])[:, :, None]
-                Yv = (Yv[:, 1:, :] - Yv[:, :-1, :]) / denom
-            dds[m] = Yv[:, 0, :]
-        if len(dds) == 1:
-            dd = next(iter(dds.values()))
-        else:
-            fill = np.zeros_like(pts_y[:, 0, :])
-            dd = np.where((npts == 2)[:, None], dds.get(2, fill),
-                          np.where((npts == 3)[:, None], dds.get(3, fill),
-                                   dds.get(4, fill)))
-        err_vec = np.where((order == 1)[:, None],
-                           h[:, None] ** 2 * dd,
-                           (4.0 / 3.0) * h[:, None] ** 3 * dd)
-        return self._wrms(err_vec, W)
-
-    def _newton(self, t_new, Y, Y_prev, Y_pred, a0, a1, a2, h, gamma, active,
+    def _newton(self, t_new, Y, Y_pred, psi, gamma, active,
                 J, J_valid, jac_age, lu, piv, inv, gamma_fact, fact_valid,
                 stats) -> tuple[np.ndarray, np.ndarray]:
         tr = self.tracer
         if tr is None:
             return self._newton_impl(
-                t_new, Y, Y_prev, Y_pred, a0, a1, a2, h, gamma, active,
+                t_new, Y, Y_pred, psi, gamma, active,
                 J, J_valid, jac_age, lu, piv, inv, gamma_fact, fact_valid,
                 stats)
         iters0 = stats.newton_iters
@@ -317,7 +283,7 @@ class BatchedBdfIntegrator:
         with tr.span("ode.newton", cat="ode", pid="ode", tid="batched",
                      cells=int(active.sum())) as sp:
             converged, Yn = self._newton_impl(
-                t_new, Y, Y_prev, Y_pred, a0, a1, a2, h, gamma, active,
+                t_new, Y, Y_pred, psi, gamma, active,
                 J, J_valid, jac_age, lu, piv, inv, gamma_fact, fact_valid,
                 stats)
             sp.args["iters"] = stats.newton_iters - iters0
@@ -333,12 +299,15 @@ class BatchedBdfIntegrator:
             m.counter("ode.lu_reuse_hits").inc(reused)
         return converged, Yn
 
-    def _newton_impl(self, t_new, Y, Y_prev, Y_pred, a0, a1, a2, h, gamma,
-                     active, J, J_valid, jac_age, lu, piv, inv, gamma_fact,
-                     fact_valid, stats) -> tuple[np.ndarray, np.ndarray]:
+    def _newton_impl(self, t_new, Y, Y_pred, psi, gamma, active, J, J_valid,
+                     jac_age, lu, piv, inv, gamma_fact, fact_valid,
+                     stats) -> tuple[np.ndarray, np.ndarray]:
         """Masked modified-Newton solve across the batch.
 
-        Returns ``(converged, Yn)``.  Newton factors persist across calls
+        Solves ``Yn - Y_pred + psi - gamma f(Yn) = 0`` per cell and returns
+        ``(converged, Yn)``.  The residual always uses the current
+        ``gamma``, so a factor held across a small gamma drift still
+        converges to the right answer.  Newton factors persist across calls
         and are refactored per cell only when the Jacobian was refreshed
         or gamma drifted; a cell that fails with a *reused* Jacobian gets
         one fresh-Jacobian retry (CVODE's recovery ladder) before its step
@@ -358,6 +327,7 @@ class BatchedBdfIntegrator:
         diag = np.arange(n)
         Yn = np.where(active[:, None], Y_pred, Y)
         W = self._error_weights(Y_pred)
+        base, gcol = Y_pred - psi, gamma[:, None]
         converged = np.zeros(B, dtype=bool)
         need = active.copy()
         for attempt in range(2):
@@ -392,13 +362,12 @@ class BatchedBdfIntegrator:
                 F = self.rhs(t_new, Yn)
                 stats.rhs_sweeps += 1
                 stats.newton_iters += 1
-                res = Yn + ((a1[:, None] * Y + a2[:, None] * Y_prev)
-                            - h[:, None] * F) / a0[:, None]
+                neg_res = gcol * F + base - Yn
                 uidx = np.flatnonzero(unconv)
                 if use_inv:
-                    delta = NUMPY.inv_apply(inv[uidx], -res[uidx])
+                    delta = NUMPY.inv_apply(inv[uidx], neg_res[uidx])
                 else:
-                    delta = NUMPY.lu_solve(lu[uidx], piv[uidx], -res[uidx])
+                    delta = NUMPY.lu_solve(lu[uidx], piv[uidx], neg_res[uidx])
                 if not audited:
                     # first solve of the round residual-checks the *held*
                     # factors: rebuild the iteration matrix they claim to
@@ -410,9 +379,9 @@ class BatchedBdfIntegrator:
                     audited = True
                     M_held = -gamma_fact[uidx, None, None] * J[uidx]
                     M_held[:, diag, diag] += 1.0
-                    verify_solve(M_held, delta, -res[uidx], growth=4.0)
+                    verify_solve(M_held, delta, neg_res[uidx], growth=4.0)
                 Yn[uidx] += delta
-                newly = self._wrms(delta, W[uidx]) < self.newton_tol
+                newly = wrms(delta, W[uidx]) < self.newton_tol
                 converged[uidx[newly]] = True
                 unconv[uidx[newly]] = False
             failed = need & ~converged
@@ -444,21 +413,17 @@ class BatchedBdfIntegrator:
             t = np.full(B, float(t0))
             F0 = np.asarray(self.rhs(t0, Y))
             stats.rhs_sweeps += 1
-            scale = np.sqrt(np.sum((F0 * self._error_weights(Y)) ** 2,
-                                   axis=1)) + 1e-30
-            h = np.minimum((t_end - t0) / 100.0, 0.01 / scale)
+
+            def rhs_at(h0: np.ndarray, Y1: np.ndarray) -> np.ndarray:
+                stats.rhs_sweeps += 1
+                return np.asarray(self.rhs(t0 + h0, Y1))
+
+            h = initial_step(Y, F0, self._error_weights(Y), t_end - t0,
+                             rhs_at)
             # interval-relative step floor: microsecond chemistry advances
             # legitimately need h far below 1e-14
             t_scale = max(abs(t0), abs(t_end))
             h = np.maximum(h, 1e-14 * t_scale)
-
-        # rolling accepted-point history for error estimation; fake
-        # pre-history times are distinct so unused divided differences
-        # stay finite (they are never selected)
-        past_t = np.full((B, 4), t0) - np.arange(4, 0, -1)[None, :]
-        past_t[:, -1] = t0
-        past_y = np.zeros((B, 4, n))
-        past_y[:, -1] = Y
 
         tiny = 1e-14 * t_scale
         return BatchedBdfState(
@@ -466,14 +431,10 @@ class BatchedBdfIntegrator:
             t_scale=t_scale,
             t=t,
             Y=Y,
-            F0=F0,
+            D=initial_differences(Y, h[:, None] * F0),
             h=h,
-            Y_prev=np.zeros_like(Y),
-            h_prev=np.ones(B),
-            have_prev=np.zeros(B, dtype=bool),
-            past_t=past_t,
-            past_y=past_y,
-            past_cnt=np.ones(B, dtype=np.int64),
+            order=np.ones(B, dtype=np.int64),
+            n_equal_steps=np.zeros(B, dtype=np.int64),
             J=np.zeros((B, n, n)),
             J_valid=np.zeros(B, dtype=bool),
             jac_age=np.zeros(B, dtype=np.int64),
@@ -509,7 +470,7 @@ class BatchedBdfIntegrator:
     def _step_round_impl(self, s: BatchedBdfState) -> None:
         if s.finished:
             return
-        t_end, tiny = s.t_end, 1e-14 * s.t_scale
+        t_end = s.t_end
         stats = s.stats
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             stats.step_rounds += 1
@@ -522,76 +483,75 @@ class BatchedBdfIntegrator:
             if stats.step_rounds > 10 * self.max_steps:
                 raise IntegrationError("lockstep round budget exceeded")
             active = ~s.done
-            h = np.where(active, np.minimum(s.h, t_end - s.t), s.h)
+            h, q = s.h, s.order
             t_new = s.t + h
-            rho = np.where(s.have_prev, h / s.h_prev, 1.0)
-            a0 = np.where(s.have_prev, (1 + 2 * rho) / (1 + rho), 1.0)
-            a1 = np.where(s.have_prev, -(1 + rho), -1.0)
-            a2 = np.where(s.have_prev, rho**2 / (1 + rho), 0.0)
-            gamma = h / a0
-            Y_pred = np.where(s.have_prev[:, None],
-                              s.Y + rho[:, None] * (s.Y - s.Y_prev),
-                              s.Y + h[:, None] * s.F0)
+            Y_pred, psi = predict(s.D, q)
+            gamma = h / ALPHA[q]
 
             converged, Yn = self._newton(
-                t_new, s.Y, s.Y_prev, Y_pred, a0, a1, a2, h, gamma, active,
+                t_new, s.Y, Y_pred, psi, gamma, active,
                 s.J, s.J_valid, s.jac_age, s.lu, s.piv, s.inv, s.gamma_fact,
                 s.fact_valid, stats)
+            factor = np.ones_like(h)
             newton_failed = active & ~converged
             if newton_failed.any():
                 stats.newton_failures += int(newton_failed.sum())
-                h = np.where(newton_failed, 0.25 * h, h)
-                self._check_underflow(h, s.t, newton_failed, s.t_scale)
+                factor[newton_failed] = 0.25
 
             test = active & converged
-            if not test.any():
-                s.h = h
-                return
-            W = self._error_weights(s.Y)
-            err = self._error_estimate(s.past_t, s.past_y, s.past_cnt,
-                                       s.have_prev, t_new, Yn, h, W)
-            order = np.where(s.have_prev, 2, 1)
-            factor = 0.9 * np.maximum(err, 1e-300) ** (-1.0 / (order + 1))
-            reject = test & (err > 1.0)
-            accept = test & ~reject
-            if reject.any():
-                stats.error_test_failures += int(reject.sum())
-                h = np.where(reject, h * np.maximum(0.1, factor), h)
-                self._check_underflow(h, s.t, reject, s.t_scale)
-            if accept.any():
-                stats.steps += int(accept.sum())
-                s.steps_per_cell[accept] += 1
-                s.jac_age[accept] += 1
-                s.Y_prev = np.where(accept[:, None], s.Y, s.Y_prev)
-                s.h_prev = np.where(accept, h, s.h_prev)
-                s.t = np.where(accept, t_new, s.t)
-                s.Y = np.where(accept[:, None], Yn, s.Y)
-                s.past_t[accept, :-1] = s.past_t[accept, 1:]
-                s.past_t[accept, -1] = s.t[accept]
-                s.past_y[accept, :-1, :] = s.past_y[accept, 1:, :]
-                s.past_y[accept, -1, :] = s.Y[accept]
-                s.past_cnt[accept] = np.minimum(s.past_cnt[accept] + 1, 4)
-                s.have_prev |= accept
-                grow = np.where(err > 0,
-                                np.minimum(5.0, np.maximum(0.2, factor)),
-                                5.0)
-                h = np.where(accept, h * grow, h)
-                s.done = s.t >= t_end - tiny
-                if self.sdc_guard:
-                    require_finite("accepted state", s.Y[accept],
-                                   s.t[accept], s.h_prev[accept])
-                    if self.plausibility is not None:
-                        ok = np.asarray(self.plausibility(s.Y[accept]),
-                                        dtype=bool)
-                        if not ok.all():
-                            cell = int(np.flatnonzero(accept)[
-                                int(np.flatnonzero(~ok)[0])])
-                            raise SdcDetected(
-                                f"accepted state fails plausibility in "
-                                f"cell {cell} at t={s.t[cell]:.3e}",
-                                location=(cell,),
-                            )
-            s.h = h
+            reject = np.zeros_like(test)
+            if test.any():
+                d = Yn - Y_pred
+                W = self._error_weights(Yn)
+                err, cut = error_test(d, W, q)
+                reject = test & (err > 1.0)
+                accept = test & ~reject
+                if reject.any():
+                    stats.error_test_failures += int(reject.sum())
+                    factor[reject] = cut[reject]
+                if accept.any():
+                    self._accept(s, accept, t_new, Yn, d, err, W, h, factor)
+            shrunk = newton_failed | reject
+            if shrunk.any():
+                self._check_underflow(h * factor, s.t, shrunk, s.t_scale)
+            # the next step, clipped to the interval end; any change of
+            # step size rescales the cell's differences and restarts its
+            # equal-step count
+            h_next = np.where(active & ~s.done,
+                              np.minimum(h * factor, t_end - s.t), h)
+            change = np.flatnonzero(h_next != h)
+            if change.size:
+                D = s.D[change]
+                # s.order already holds any newly selected order
+                rescale(D, s.order[change], h_next[change] / h[change])
+                s.D[change] = D
+                s.n_equal_steps[change] = 0
+            s.h = h_next
+
+    def _accept(self, s: BatchedBdfState, accept, t_new, Yn, d, err, W, h,
+                factor) -> None:
+        """Commit the accepted cells and pick their next order and step."""
+        idx = np.flatnonzero(accept)
+        s.stats.steps += idx.size
+        s.steps_per_cell[idx] += 1
+        s.jac_age[idx] += 1
+        s.t[idx] = t_new[idx]
+        s.Y[idx] = Yn[idx]
+        D, q, n_equal = s.D[idx], s.order[idx], s.n_equal_steps[idx]
+        factor[idx] = accept_step(D, q, n_equal, d[idx], err[idx], W[idx])
+        s.D[idx], s.order[idx], s.n_equal_steps[idx] = D, q, n_equal
+        s.done[idx] = s.t[idx] >= s.t_end - 1e-14 * s.t_scale
+        if self.sdc_guard:
+            require_finite("accepted state", s.Y[idx], s.t[idx], h[idx])
+            if self.plausibility is not None:
+                ok = np.asarray(self.plausibility(s.Y[idx]), dtype=bool)
+                if not ok.all():
+                    cell = int(idx[int(np.flatnonzero(~ok)[0])])
+                    raise SdcDetected(
+                        f"accepted state fails plausibility in "
+                        f"cell {cell} at t={s.t[cell]:.3e}",
+                        location=(cell,),
+                    )
 
     def integrate(self, y0: np.ndarray, t0: float, t_end: float) -> BatchedBdfResult:
         """Advance every cell of ``y0`` (ncells, n) from *t0* to *t_end*."""

@@ -460,7 +460,9 @@ class TestIntegrationAcrossBackends:
         np.testing.assert_array_equal(resumed_state.t, ref_state.t)
 
     def test_snapshot_version_guard(self):
-        """v1 snapshots (no held inverse) are refused, not misread."""
+        """Older snapshots are refused, not misread: v1 has no held
+        inverse, v2 carries the BDF(1,2) point history instead of the
+        variable-order difference array."""
         from repro.apps.pele import PeleConfig, chemistry_field
         from repro.resilience.snapshot import SnapshotError
 
@@ -468,7 +470,9 @@ class TestIntegrationAcrossBackends:
         T, C0 = chemistry_field(cfg, 3, seed=3)
         state = _fused_integrator(cfg, T).start(C0, 0.0, 1e-8)
         snap = state.snapshot()
-        assert snap.version == 2
-        stale = type(snap)(kind=snap.kind, version=1, payload=snap.payload)
-        with pytest.raises(SnapshotError):
-            state.restore(stale)
+        assert snap.version == 3
+        for old in (1, 2):
+            stale = type(snap)(kind=snap.kind, version=old,
+                               payload=snap.payload)
+            with pytest.raises(SnapshotError):
+                state.restore(stale)

@@ -1,8 +1,9 @@
 """Tests for the batched BDF integrator and its supporting substrates.
 
 The batched path (§3.8's CVODE+MAGMA motif) must reproduce the scalar
-integrator's answers: same per-cell BDF(1,2) algorithm, just advanced in
-lockstep with batched linear algebra.  The property test drives both on
+integrator's answers: same per-cell variable-order BDF (orders 1–5, each
+cell its own order and step), just advanced in lockstep with batched
+linear algebra.  The property test drives both on
 batches of random stiff linear systems — including badly ragged batches
 where per-cell stiffness spans several decades so cells converge at very
 different rates — and checks agreement within solver tolerances.
