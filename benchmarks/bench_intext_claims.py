@@ -78,27 +78,27 @@ def test_bench_pele_weak_scaling(benchmark):
 
 
 def test_bench_comet_full_machine(benchmark):
-    """§3.6 swept on ScaledComm: 6.71 EF over 72,592 simulated ranks."""
+    """§3.6 swept on exemplar ranks: 6.71 EF over 72,592 simulated ranks."""
     from repro.experiments.scaling import comet_full_machine_exaflops
 
     ef = benchmark(comet_full_machine_exaflops)
-    print(f"\nCoMet via ScaledComm @9074 nodes: {ef:.2f} EF (paper: 6.71)")
+    print(f"\nCoMet on exemplar ranks @9074 nodes: {ef:.2f} EF (paper: 6.71)")
     assert ef == pytest.approx(6.71, rel=0.25)
 
 
 def test_bench_pele_full_machine(benchmark):
-    """§3.8 swept on ScaledComm: halo exchange + overlap at 4,096 nodes."""
+    """§3.8 swept on exemplar ranks: halo exchange + overlap at 4,096 nodes."""
     from repro.experiments.scaling import pele_full_machine_weak_scaling
 
     eff = benchmark(pele_full_machine_weak_scaling)
-    print(f"\nPele via ScaledComm @4096 nodes: {eff:.4f} (paper: >0.8)")
+    print(f"\nPele on exemplar ranks @4096 nodes: {eff:.4f} (paper: >0.8)")
     assert eff >= 0.8
 
 
 def test_bench_gamess_full_machine(benchmark):
-    """§3.1 swept on ScaledComm: MBE farm efficiency at 2,048 nodes."""
+    """§3.1 swept on exemplar ranks: MBE farm efficiency at 2,048 nodes."""
     from repro.experiments.scaling import gamess_full_machine_efficiency
 
     eff = benchmark(gamess_full_machine_efficiency)
-    print(f"\nGAMESS via ScaledComm @2048 nodes: {eff:.4f} (paper: near-ideal)")
+    print(f"\nGAMESS on exemplar ranks @2048 nodes: {eff:.4f} (paper: near-ideal)")
     assert eff >= 0.95

@@ -35,7 +35,7 @@ from repro.experiments.resilience_at_scale import (
     run_overhead_curve,
 )
 from repro.hardware.interconnect import SLINGSHOT_11
-from repro.mpisim import RankGroupPartitioner, ScaledComm
+from repro.mpisim import RankGroupPartitioner, SimComm
 from repro.observability import BenchRegressionGate, Tracer
 from repro.resilience import (
     FaultEvent,
@@ -60,10 +60,10 @@ def fault_matrix_smoke() -> None:
     inj = FaultInjector(rng=np.random.default_rng(0),
                         mtbf={k: 1.0 for k in FaultKind})
     for target, flavor in ((0, "exemplar"), (5, "modelled")):
-        comm = ScaledComm(16, SLINGSHOT_11, ranks_per_node=8,
-                          device_buffers=True,
-                          partition=RankGroupPartitioner(
-                              "endpoints").partition(16))
+        comm = SimComm(16, SLINGSHOT_11, ranks_per_node=8,
+                       device_buffers=True,
+                       partition=RankGroupPartitioner(
+                           "endpoints").partition(16))
         arr = np.ones(32)
         for kind in FaultKind:
             event = FaultEvent(time=1.0, kind=kind, target=target,

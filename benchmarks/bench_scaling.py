@@ -6,8 +6,9 @@ simulated ranks) must cost seconds of wall-clock — at least **100x**
 cheaper than extrapolating a naive all-live :class:`SimComm` campaign
 from the largest live-feasible size.  This bench measures both sides:
 
-* ``t_sweep`` — the 10-point :func:`weak_scaling_curve` on
-  :class:`ScaledComm` (six node-role exemplars carry every size);
+* ``t_sweep`` — the 10-point :func:`weak_scaling_curve` on a
+  representative-rank :class:`SimComm` (six node-role exemplars carry
+  every size);
 * ``t_naive_extrapolated`` — an all-live run at ``PROBE_NODES`` (the
   largest sweep size that is still live-feasible), extrapolated linearly
   in rank-steps over the whole sweep.  Linear is deliberately generous

@@ -26,7 +26,7 @@ resilience subsystem end to end:
 ``--policy {restart,shrink,spare}`` selects the recovery policy the
 main campaign uses; all three end in the same bits.  ``--nodes N`` adds
 a machine-scale act: the same fault-injected campaign through a
-representative-rank :class:`~repro.mpisim.scaled.ScaledComm` modelling
+representative-rank :class:`~repro.mpisim.SimComm` modelling
 every rank of an N-node Frontier (N x 8 machine ranks, a handful
 executed), with failures drawn over the whole machine by
 :func:`~repro.resilience.scaled_fault_injector` — and still bit-identical
@@ -43,7 +43,7 @@ import numpy as np
 from repro.apps.exasky import ExaskyCampaign
 from repro.gpu.device import Device
 from repro.hardware.catalog import FRONTIER, SUMMIT
-from repro.mpisim import RankGroupPartitioner, ScaledComm, SimComm
+from repro.mpisim import RankGroupPartitioner, SimComm
 from repro.resilience import (
     CheckpointCostModel,
     FaultInjector,
@@ -163,10 +163,10 @@ def main(fast: bool = False, policy: str = "restart",
         print(f"\n=== Machine-scale campaign: {machine.nodes} nodes, "
               f"{ranks} machine ranks, representative-rank engine ===")
         part = RankGroupPartitioner("endpoints").partition(ranks)
-        scaled_comm = ScaledComm(ranks, machine.node.interconnect,
-                                 ranks_per_node=machine.node.gpus_per_node,
-                                 device_buffers=True, partition=part,
-                                 tracer=tracer)
+        scaled_comm = SimComm(ranks, machine.node.interconnect,
+                              ranks_per_node=machine.node.gpus_per_node,
+                              device_buffers=True, partition=part,
+                              tracer=tracer)
         scaled_app = campaign()
         # compress the failure timescale so this seconds-long campaign
         # sees the fault rate of a weeks-long one at this node count

@@ -7,7 +7,7 @@ experiment closes that loop at full-machine rank counts:
 * **Daly validation** (:func:`run_daly_sweep`) — drive a fault-injected
   :class:`~repro.apps.exasky.ExaskyCampaign` through the
   :class:`~repro.resilience.runner.ResilientRunner` on a representative-
-  rank :class:`~repro.mpisim.scaled.ScaledComm` modelling every rank of a
+  rank :class:`~repro.mpisim.comm.SimComm` modelling every rank of a
   4,096+-node machine, sweeping the checkpoint interval from ``W*/4`` to
   ``4 W*``.  The *measured* overhead-minimizing interval must land within
   2x of Young/Daly's ``W* = sqrt(2 delta M)`` — the acceptance test that
@@ -43,8 +43,8 @@ from repro.apps.exasky import ExaskyCampaign
 from repro.core.report import render_series
 from repro.hardware.catalog import FRONTIER
 from repro.hardware.machine import MachineSpec
+from repro.mpisim.comm import SimComm
 from repro.mpisim.partition import RankGroupPartitioner
-from repro.mpisim.scaled import ScaledComm
 from repro.resilience.daly import (
     predicted_overhead,
     scaled_fault_injector,
@@ -76,11 +76,11 @@ def _machine_ranks(machine: MachineSpec) -> int:
     return machine.nodes * max(machine.node.gpus_per_node, 1)
 
 
-def _scaled_comm(machine: MachineSpec) -> ScaledComm:
+def _scaled_comm(machine: MachineSpec) -> SimComm:
     """Every machine rank, O(dozens) executed: endpoints partition."""
     ranks = _machine_ranks(machine)
     part = RankGroupPartitioner("endpoints").partition(ranks)
-    return ScaledComm(
+    return SimComm(
         ranks, machine.node.interconnect,
         ranks_per_node=max(machine.node.gpus_per_node, 1),
         device_buffers=machine.node.has_gpus, partition=part,
@@ -206,7 +206,7 @@ def run_daly_sweep(*, nodes: int = 4096, seeds: tuple[int, ...] = (0, 1, 2, 3),
     """Measure the optimal checkpoint interval at machine scale.
 
     Sweeps ``interval_factors x W*`` checkpoint intervals over seeded
-    fault-injected campaigns on a ScaledComm modelling all
+    fault-injected campaigns on a representative-rank SimComm modelling all
     ``nodes x gpus_per_node`` ranks, and reports measured overhead
     against :func:`~repro.resilience.daly.predicted_overhead`.
     """

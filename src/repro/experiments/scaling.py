@@ -6,7 +6,8 @@ on 9,074 Frontier nodes with near-perfect weak scaling (§3.6), Pele's
 MBE scaling to 2,048 nodes (§3.1) — but an all-live
 :class:`~repro.mpisim.comm.SimComm` executes every rank in-process and
 tops out at a few dozen ranks.  This module sweeps those claims to
-machine size on :class:`~repro.mpisim.scaled.ScaledComm`: each app
+machine size on a representative-rank :class:`~repro.mpisim.comm.SimComm`
+(built with ``partition=``): each app
 workload names a rank partition (node-role classes for the
 collective-dominated CoMet sweep, 3-D boundary classes for Pele's halo
 pattern, task-count classes for the GAMESS MBE farm), executes only the
@@ -15,9 +16,8 @@ Hockney models.
 
 The drivers are communicator-agnostic: they speak ``comm.nranks`` values,
 ``comm.representatives`` global positions and ``comm.rank_weights``, so
-the same campaign runs on a SimComm (all live), a ScaledComm with the
-all-live partition (``R = P``, bit-identical by construction) and a
-ScaledComm with exemplars (``R ≪ P``) — the differential
+the same campaign runs on an all-live communicator and on one executing
+exemplars only (``R ≪ P``) — the differential
 :func:`validate_exemplar_vs_full` exploits exactly that.
 """
 
@@ -34,7 +34,6 @@ from repro.mpisim import (
     BlockDecomposition,
     RankGroupPartitioner,
     RankPartition,
-    ScaledComm,
     SimComm,
     balanced_block_grid,
     balanced_counts,
@@ -50,7 +49,7 @@ QUICK_WEAK_NODE_COUNTS: tuple[int, ...] = (8, 1024, 9074)
 QUICK_STRONG_NODE_COUNTS: tuple[int, ...] = (8, 512, 2048)
 
 #: Execution modes of :meth:`ScalingWorkload.build_comm`.
-MODES = ("live", "exact", "scaled")
+MODES = ("live", "scaled")
 
 
 @dataclass(frozen=True)
@@ -107,19 +106,13 @@ class ScalingWorkload:
 
     def build_comm(self, nodes: int, *, mode: str = "scaled",
                    tracer=None) -> SimComm:
-        """``live``: all-rank SimComm.  ``exact``: ScaledComm with the
-        all-live partition (R = P).  ``scaled``: exemplars only."""
+        """``live``: every rank executed.  ``scaled``: exemplars only."""
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; known: {MODES}")
-        ranks = self.ranks_for(nodes)
-        fabric = FRONTIER.node.interconnect
-        if mode == "live":
-            return SimComm(ranks, fabric, ranks_per_node=self.gpus_per_node,
-                           device_buffers=True, tracer=tracer)
         partition = self.build_partition(nodes) if mode == "scaled" else None
-        return ScaledComm(ranks, fabric, ranks_per_node=self.gpus_per_node,
-                          device_buffers=True, tracer=tracer,
-                          partition=partition)
+        return SimComm(self.ranks_for(nodes), FRONTIER.node.interconnect,
+                       ranks_per_node=self.gpus_per_node, device_buffers=True,
+                       tracer=tracer, partition=partition)
 
     def run(self, comm: SimComm, nodes: int, *, steps: int) -> None:
         raise NotImplementedError
@@ -313,14 +306,8 @@ class ValidationPoint:
     nodes: int
     ranks: int
     live_ranks: int
-    live_time: float    # all-rank SimComm
-    exact_time: float   # ScaledComm, R = P
-    scaled_time: float  # ScaledComm, exemplars only
-
-    @property
-    def bit_identical(self) -> bool:
-        """R = P must reproduce the all-live run exactly."""
-        return self.exact_time == self.live_time
+    live_time: float    # every rank executed
+    scaled_time: float  # exemplars only
 
     @property
     def rel_error(self) -> float:
@@ -334,27 +321,22 @@ def validate_exemplar_vs_full(workload: ScalingWorkload,
                               node_counts: Sequence[int] = (1, 2, 8, 64), *,
                               steps: int = 2,
                               ) -> tuple[ValidationPoint, ...]:
-    """Run the same campaign all-live, R = P and exemplars-only at the
+    """Run the same campaign all-live and exemplars-only at the
     overlapping (live-feasible) sizes."""
     out = []
     for nodes in node_counts:
         t_live, ranks, _ = _measure(workload, nodes, mode="live", steps=steps)
-        t_exact, _, _ = _measure(workload, nodes, mode="exact", steps=steps)
         t_scaled, _, live = _measure(workload, nodes, mode="scaled",
                                      steps=steps)
         out.append(ValidationPoint(workload.name, nodes, ranks, live,
-                                   t_live, t_exact, t_scaled))
+                                   t_live, t_scaled))
     return tuple(out)
 
 
 def check_validation(points: Sequence[ValidationPoint], *,
                      tol: float = 1e-9) -> None:
-    """Raise if any point breaks bit-identity (R = P) or tolerance (R < P)."""
+    """Raise if any exemplar-mode point leaves the tolerance."""
     for p in points:
-        if not p.bit_identical:
-            raise ValueError(
-                f"{p.app} at {p.nodes} nodes: R = P mode diverged from the "
-                f"all-live run ({p.exact_time!r} != {p.live_time!r})")
         if p.rel_error > tol:
             raise ValueError(
                 f"{p.app} at {p.nodes} nodes: exemplar mode off by "
@@ -363,13 +345,12 @@ def check_validation(points: Sequence[ValidationPoint], *,
 
 def render_validation(points: Sequence[ValidationPoint]) -> str:
     return render_table(
-        ("App", "Nodes", "Ranks", "Live", "All-live (s)", "R=P (s)",
-         "Exemplar (s)", "Rel err", "Bit-id"),
+        ("App", "Nodes", "Ranks", "Live", "All-live (s)", "Exemplar (s)",
+         "Rel err"),
         [
             (p.app, str(p.nodes), str(p.ranks), str(p.live_ranks),
-             f"{p.live_time:.6g}", f"{p.exact_time:.6g}",
-             f"{p.scaled_time:.6g}", f"{p.rel_error:.2e}",
-             "yes" if p.bit_identical else "NO")
+             f"{p.live_time:.6g}", f"{p.scaled_time:.6g}",
+             f"{p.rel_error:.2e}")
             for p in points
         ],
         title="Exemplar-vs-full differential",
@@ -380,7 +361,7 @@ def render_validation(points: Sequence[ValidationPoint]) -> str:
 
 
 def comet_full_machine_exaflops(*, nodes: int = 9074, steps: int = 2) -> float:
-    """§3.6: 6.71 EF on 9,074 Frontier nodes, swept through ScaledComm."""
+    """§3.6: 6.71 EF on 9,074 Frontier nodes, swept on exemplars."""
     w = CometWeakScaling()
     t, _, _ = _measure(w, nodes, mode="scaled", steps=steps)
     return w.metric(nodes, t)

@@ -17,6 +17,22 @@ Clock semantics:
 * nonblocking ops return a :class:`PendingOp` whose ``wait`` applies the
   completion — overlap is modelled by letting the caller advance clocks
   with compute in between.
+
+Representative-rank execution: a communicator built with a
+:class:`~repro.mpisim.partition.RankPartition` of its ``machine_ranks``
+ranks (default: the all-live partition) holds data and clocks for the
+partition's ``nranks`` representatives only.  Every other rank mirrors
+its proxy representative, so its clock derives from the live clocks
+(:meth:`SimComm.group_clocks`); collectives are priced at the full
+machine ``p`` and ``np.add`` folds weight each exemplar by the ranks it
+stands for.  Data-plane arguments (``values``, ``advance``, ``sendrecv``
+endpoints, roots) use live indices ``0 … nranks−1``; fault injection,
+``split``, ``ineighbor_exchange`` partners and ``parent_ranks`` speak
+machine ranks.  The two coincide when every rank is live.  With modelled
+ranks, index-addressed p2p is counted once (not weighted), ``alltoallv``
+uses a pairwise bound gated by the largest exemplar pair, subgroup
+collectives are unavailable, and mirrors of a *dead* representative
+count as alive but hold no data for ``agree``'s folded value.
 """
 
 from __future__ import annotations
@@ -28,6 +44,7 @@ import numpy as np
 
 from repro.hardware.interconnect import InterconnectSpec
 from repro.mpisim import costmodel as cm
+from repro.mpisim.partition import RankPartition, _all_live_partition
 from repro.mpisim.topology import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
@@ -71,6 +88,21 @@ class CommStats:
         self.total_comm_time += other.total_comm_time
 
 
+@dataclass(frozen=True)
+class GroupClock:
+    """Clock aggregate over one group's modelled (non-representative) ranks."""
+
+    name: str
+    count: int
+    min: float
+    max: float
+    sum: float
+
+    @property
+    def mean(self) -> float:
+        return self.sum / self.count if self.count else 0.0
+
+
 @dataclass
 class PendingOp:
     """Handle for a nonblocking operation."""
@@ -89,7 +121,8 @@ class PendingOp:
 
 
 class SimComm:
-    """Simulated communicator over ``nranks`` ranks."""
+    """Simulated communicator over ``machine_ranks`` ranks, executing the
+    representatives of *partition* (every rank, by default)."""
 
     def __init__(
         self,
@@ -99,84 +132,140 @@ class SimComm:
         ranks_per_node: int = 1,
         device_buffers: bool = False,
         tracer: "Tracer | None" = None,
+        partition: RankPartition | None = None,
     ) -> None:
         if nranks < 1:
             raise CommError("communicator needs at least one rank")
-        self.nranks = nranks
+        if partition is None:
+            partition = _all_live_partition(nranks)  # memoized: no O(P) work
+        elif partition.nranks != nranks:
+            raise CommError(
+                f"partition covers {partition.nranks} ranks, machine has {nranks}")
+        self.partition = partition
+        #: live (data-plane) ranks; the cost plane sees ``machine_ranks``
+        self.nranks = partition.nlive
         self.topology = Topology(nranks=nranks, ranks_per_node=ranks_per_node, fabric=fabric)
         self.device_buffers = device_buffers
         #: observation-only span/metric sink; ``None`` keeps every
         #: instrumented site a single pointer test (tracing off is free)
         self.tracer = tracer
-        self.clocks = np.zeros(nranks, dtype=float)
-        self.failed = np.zeros(nranks, dtype=bool)
+        self.clocks = np.zeros(self.nranks, dtype=float)
+        self.failed = np.zeros(self.nranks, dtype=bool)
         self.stats = CommStats()
-        #: set by :meth:`shrink`: new-rank -> rank in the parent communicator
+        #: set by :meth:`shrink` / :meth:`split`: new machine rank ->
+        #: machine rank in the parent communicator
         self.parent_ranks: tuple[int, ...] | None = None
-        #: set by :meth:`shrink`: new-rank -> *machine* rank in the parent
-        #: (equals ``parent_ranks`` here; a shrunk ScaledComm reports the
-        #: surviving global machine ranks, which its live indices cannot)
-        self.parent_machine_ranks: tuple[int, ...] | None = None
         #: active :meth:`degrade_link` windows as ``(slowdown, until)``
         #: pairs on the simulated clock; expired windows are pruned lazily
         self._degradation_windows: list[tuple[float, float]] = []
+        self._internode_link: cm.LinkParameters | None = None
+        #: dead *modelled* ranks, by machine rank
+        self._machine_failed: set[int] = set()
 
     # -- representative-rank surface --------------------------------------------
-    #
-    # Scaling drivers are written against these two properties plus the
-    # collective API, so the same driver runs unchanged on a SimComm
-    # (every rank live) and a ScaledComm (exemplars only).
 
     @property
     def machine_ranks(self) -> int:
-        """Total ranks the communicator models (equals ``nranks`` here;
-        a ScaledComm reports the full machine while holding R ranks)."""
-        return self.nranks
+        """Total ranks the communicator models (``nranks`` when all-live)."""
+        return self.partition.nranks
 
     @property
     def representatives(self) -> tuple[int, ...]:
-        """Ranks executed concretely.  All of them, for a plain SimComm."""
-        return tuple(range(self.nranks))
+        """Machine ranks executed concretely, in live-index order."""
+        return self.partition.live_ranks
 
     @property
     def rank_weights(self) -> np.ndarray:
-        """Ranks each live rank stands for (all ones on a plain SimComm)."""
-        return np.ones(self.nranks, dtype=np.int64)
+        """Ranks each live rank currently stands for: the partition's
+        structural weights minus its dead mirrors (group-level failures
+        decrement the group's effective weight)."""
+        weights = self.partition.weights
+        if self._machine_failed:
+            proxies = self.partition.proxy_live_index[list(self._machine_failed)]
+            weights = weights - np.bincount(proxies, minlength=self.nranks)
+        return weights
+
+    def group_clocks(self) -> tuple[GroupClock, ...]:
+        """Per-group aggregates over the modelled ranks' clocks, derived
+        in O(R) from the representatives they mirror."""
+        out = []
+        for g, (idx, proxies) in zip(self.partition.groups,
+                                     self.partition.group_tables):
+            mask = proxies > 0
+            if not mask.any():
+                out.append(GroupClock(g.name, 0, 0.0, 0.0, 0.0))
+                continue
+            mirrored = self.clocks[idx[mask]]
+            out.append(GroupClock(
+                g.name, int(proxies.sum()),
+                float(mirrored.min()), float(mirrored.max()),
+                float(self.clocks[idx] @ proxies)))
+        return tuple(out)
+
+    def describe(self) -> str:
+        return (f"SimComm(P={self.machine_ranks}, R={self.nranks}, "
+                f"groups={len(self.partition.groups)})")
+
+    def proxy_live_indices(self) -> np.ndarray:
+        """Live index every machine rank reads its clock from (its proxy
+        representative's; the elastic layer folds machine-pair traffic
+        onto exemplar pairs through it)."""
+        return self.partition.proxy_live_index
 
     # -- rank failure (fault injection) -----------------------------------------
 
-    def fail_rank(self, rank: int) -> None:
-        """Mark *rank* dead; detection happens at the next operation that
-        involves it (the way MPI jobs actually learn about node loss)."""
-        if not 0 <= rank < self.nranks:
+    def _live_index_of(self, rank: int) -> int | None:
+        """Live index of machine rank *rank*, ``None`` if it is modelled."""
+        if not 0 <= rank < self.machine_ranks:
             raise CommError(f"rank {rank} out of range")
-        self.failed[rank] = True
+        return self.partition.live_index.get(rank)
+
+    def fail_rank(self, rank: int) -> None:
+        """Kill machine rank *rank*; detection happens at the next
+        operation that involves it (the way MPI jobs actually learn
+        about node loss).
+
+        A representative dies outright; a modelled rank fires a
+        group-level failure — its proxy's :attr:`rank_weights` entry
+        drops by one.  The next machine-wide collective raises
+        :class:`RankFailedError` with machine ranks.
+        """
+        rank = int(rank)
+        idx = self._live_index_of(rank)
+        if idx is None:
+            self._machine_failed.add(rank)
+        else:
+            self.failed[idx] = True
 
     def restore_rank(self, rank: int) -> None:
-        """Replace a failed rank; it rejoins at the current global time."""
-        if not 0 <= rank < self.nranks:
-            raise CommError(f"rank {rank} out of range")
-        self.failed[rank] = False
-        self.clocks[rank] = float(self.clocks.max())
+        """Replace failed machine rank *rank*: a representative rejoins
+        at the current global time, a modelled rank mirrors its proxy
+        again."""
+        rank = int(rank)
+        idx = self._live_index_of(rank)
+        if idx is None:
+            self._machine_failed.discard(rank)
+        else:
+            self.failed[idx] = False
+            self.clocks[idx] = float(self.clocks.max())
 
     def alive_ranks(self) -> list[int]:
-        """Ranks that have not failed, in rank order."""
-        return [int(r) for r in np.flatnonzero(~self.failed)]
+        """Live indices that have not failed, in rank order."""
+        return (~self.failed).nonzero()[0].tolist()
 
     def failed_ranks(self) -> list[int]:
-        """Dead ranks in *machine* numbering, sorted.
-
-        On a plain SimComm indices and machine ranks coincide; a
-        ScaledComm overrides this to report dead exemplars and dead
-        modelled ranks by their global machine rank, so fault-injection
-        drivers (``FaultInjector.clear``) work on either communicator.
-        """
-        return [int(r) for r in np.flatnonzero(self.failed)]
+        """Dead ranks in *machine* numbering, sorted: dead exemplars and
+        dead modelled ranks alike, so fault-injection drivers
+        (``FaultInjector.clear``) speak one numbering."""
+        live = self.partition.live_ranks
+        dead = [live[i] for i in self.failed.nonzero()[0].tolist()]
+        return sorted(dead + list(self._machine_failed))
 
     @property
     def machine_alive_count(self) -> int:
         """Machine ranks still alive (``machine_ranks`` minus the dead)."""
-        return self.nranks - int(self.failed.sum())
+        return (self.machine_ranks - len(self._machine_failed)
+                - int(self.failed.sum()))
 
     # -- link degradation (fault injection) --------------------------------------
 
@@ -199,10 +288,10 @@ class SimComm:
     def _collective_link(self) -> cm.LinkParameters:
         """The internode link every collective prices against, degraded
         by any active :meth:`degrade_link` window."""
-        link = self.topology.internode_link(device_buffers=self.device_buffers)
-        return self._apply_degradation(link)
-
-    def _apply_degradation(self, link: cm.LinkParameters) -> cm.LinkParameters:
+        link = self._internode_link
+        if link is None:
+            link = self._internode_link = self.topology.internode_link(
+                device_buffers=self.device_buffers)
         if not self._degradation_windows:
             return link
         now = float(self.clocks.max())
@@ -215,6 +304,8 @@ class SimComm:
             return link
         return cm.LinkParameters(alpha=link.alpha, beta=link.beta * factor)
 
+    # -- fault-tolerant consensus (ULFM) -----------------------------------------
+
     def agree(self, values: Sequence[Any] | None = None, nbytes: float = 8.0,
               op: Callable = np.logical_and) -> tuple[Any, tuple[int, ...]]:
         """ULFM ``MPIX_Comm_agree``: fault-tolerant consensus among survivors.
@@ -224,62 +315,103 @@ class SimComm:
         reduces their contributions with *op* (logical AND by default,
         matching the MPI semantics of agreeing on a bitmask), and returns
         ``(agreed_value, failed_ranks)`` so the survivors share a
-        consistent view of who died.  ``values`` is indexed by *global*
-        rank (length ``nranks``); dead ranks' entries are ignored.  Costs
-        an allreduce over the survivor group.
+        consistent view of who died (machine numbering).  ``values`` is
+        indexed by live rank; dead ranks' entries are ignored, and the
+        value is ``None`` when only modelled ranks survive.  Costs an
+        allreduce over the ``machine_alive_count`` survivors.
         """
-        alive = self.alive_ranks()
-        if not alive:
+        alive_machine = self.machine_alive_count
+        if alive_machine == 0:
             raise CommError("agree on a communicator with no alive ranks")
         if values is None:
             values = [True] * self.nranks
         if len(values) != self.nranks:
             raise CommError(f"expected {self.nranks} per-rank values, "
                             f"got {len(values)}")
-        link = self._collective_link()
-        t = cm.allreduce_time(len(alive), nbytes, link)
-        start = float(np.max(self.clocks[alive]))
+        alive = self.alive_ranks()
+        t = cm.allreduce_time(alive_machine, nbytes, self._collective_link())
+        # with every exemplar dead the consensus starts at the latest clock
+        start = self._collective("agree", t, alive_machine, nbytes,
+                                 alive or slice(None))
         self.clocks[alive] = start + t
-        self.stats.collectives += 1
-        self.stats.collective_bytes += nbytes * len(alive)
-        self.stats.total_comm_time += t * len(alive)
-        self._trace_collective("agree", start, t, nbytes, len(alive))
-        acc = values[alive[0]]
-        for r in alive[1:]:
-            acc = op(acc, values[r])
-        return acc, tuple(int(r) for r in np.flatnonzero(self.failed))
+        weights = self.rank_weights[alive].tolist() if op is np.add else None
+        acc = self._fold([values[i] for i in alive], op, weights)
+        return acc, tuple(self.failed_ranks())
 
     def shrink(self) -> "SimComm":
         """ULFM ``MPIX_Comm_shrink``: a new communicator over the survivors.
 
-        The surviving ranks are renumbered densely (old rank order is
+        The surviving machine ranks are renumbered densely (order is
         preserved: if rank 0 died, old rank 1 becomes new rank 0) and
-        carry their clocks over, synchronized to the shrink consensus —
-        building the shrunken communicator is itself an agreement, so the
-        survivors pay one ``agree`` before the new communicator exists.
-        ``parent_ranks[new_rank]`` maps back to the rank numbering of this
-        communicator.  Shrinking a fully-alive communicator returns an
-        identical copy; shrinking repeatedly after repeated failures keeps
-        working down to a single rank.
+        carry their clocks over, synchronized to the shrink consensus
+        (one ``agree``).  A group whose representatives all died
+        promotes its first surviving member at its dead proxy's clock.
+        ``parent_ranks[new_rank]`` maps back to this communicator's
+        machine numbering.
         """
-        self.agree()  # the consensus that makes the survivor set common
-        alive = self.alive_ranks()
-        sub = SimComm(len(alive), self.topology.fabric,
+        _, dead = self.agree()  # the consensus on the survivor set
+        mask = np.ones(self.machine_ranks, dtype=bool)
+        mask[list(dead)] = False
+        return self._induced_subcomm(mask.nonzero()[0])
+
+    def split(self, color_of: Callable[[int], int], *,
+              shared_stats: bool = False) -> dict[int, "SimComm"]:
+        """MPI_Comm_split over machine ranks: one sub-communicator per
+        color, ``color_of`` called for every rank ``0..machine_ranks-1``.
+
+        Each sub-communicator keeps the induced partition (see
+        :meth:`shrink`) and starts with its members' current clocks; the
+        parent keeps its own.  Used for pencil row/column communicators.
+
+        With ``shared_stats=True`` the children record into the parent's
+        :class:`CommStats` object directly, so multi-comm campaigns
+        report true totals without a merge step; otherwise call
+        :meth:`merge_child_stats` when the children retire.
+        """
+        groups: dict[int, list[int]] = {}
+        for r in range(self.machine_ranks):
+            groups.setdefault(color_of(r), []).append(r)
+        return {color: self._induced_subcomm(
+                    np.asarray(members, dtype=np.int64),
+                    shared_stats=shared_stats)
+                for color, members in groups.items()}
+
+    def _induced_subcomm(self, members: np.ndarray, *,
+                         shared_stats: bool = False) -> "SimComm":
+        """A communicator over the machine ranks *members* (sorted),
+        on the partition they induce."""
+        if members.size == 0:
+            raise CommError("sub-communicator needs at least one rank")
+        partition, sources = self.partition.induced(members)
+        sub = SimComm(int(members.size), self.topology.fabric,
                       ranks_per_node=self.topology.ranks_per_node,
                       device_buffers=self.device_buffers,
-                      tracer=self.tracer)
-        sub.clocks = self.clocks[alive].copy()
-        sub.parent_ranks = tuple(alive)
-        sub.parent_machine_ranks = tuple(alive)
+                      tracer=self.tracer, partition=partition)
+        sub.clocks = self.clocks[sources]
+        sub.parent_ranks = tuple(members.tolist())
+        if shared_stats:
+            sub.stats = self.stats
         return sub
 
+    def merge_child_stats(self, children: "Sequence[SimComm] | dict[Any, SimComm]") -> None:
+        """Fold child communicators' accounting into this comm's stats.
+
+        Children created with ``shared_stats=True`` already write here and
+        are skipped, so mixing the two modes never double-counts.
+        """
+        comms = children.values() if isinstance(children, dict) else children
+        for child in comms:
+            if child.stats is self.stats:
+                continue
+            self.stats.merge(child.stats)
+
     def _check_alive(self, participants: Sequence[int] | None = None) -> None:
-        dead = (self.failed if participants is None
-                else self.failed[list(participants)])
-        if dead.any():
-            ranks = (np.flatnonzero(self.failed) if participants is None
-                     else [r for r in participants if self.failed[r]])
-            raise RankFailedError(list(ranks))
+        if participants is not None:
+            dead = [r for r in participants if self.failed[r]]
+            if dead:
+                raise RankFailedError(dead)
+        elif self._machine_failed or self.failed.any():
+            raise RankFailedError(self.failed_ranks())
 
     # -- tracing (observation only: reads clocks, never moves them) -------------
 
@@ -298,15 +430,25 @@ class SimComm:
 
     def _trace_p2p(self, name: str, src: int, dst: int, start: float,
                    t: float, nbytes: float) -> None:
+        """One span and edge counters per message: per rank pair on an
+        all-live communicator, per group pair (O(groups) metrics) when
+        ranks are modelled."""
         tr = self.tracer
         if tr is None:
             return
-        tr.record(name, start, t, cat="mpisim", pid="mpisim",
-                  tid=f"rank{dst}", src=int(src), dst=int(dst),
-                  nbytes=float(nbytes))
+        live = self.partition.live_ranks
+        msrc, mdst = live[src], live[dst]
+        if self.nranks == self.machine_ranks:
+            tid, edge = f"rank{dst}", f"edge[{src}->{dst}]"
+        else:
+            names = [self.partition.groups[int(self.partition.group_of[r])].name
+                     for r in (msrc, mdst)]
+            tid, edge = f"group:{names[1]}", f"group_edge[{names[0]}->{names[1]}]"
+        tr.record(name, start, t, cat="mpisim", pid="mpisim", tid=tid,
+                  src=int(msrc), dst=int(mdst), nbytes=float(nbytes))
         m = tr.metrics
-        m.counter(f"mpisim.edge[{src}->{dst}].messages").inc()
-        m.counter(f"mpisim.edge[{src}->{dst}].bytes").inc(float(nbytes))
+        m.counter(f"mpisim.{edge}.messages").inc()
+        m.counter(f"mpisim.{edge}.bytes").inc(float(nbytes))
         m.histogram("mpisim.p2p_time", COMM_TIME_EDGES).observe(t)
         m.histogram("mpisim.p2p_bytes", COMM_BYTES_EDGES).observe(float(nbytes))
 
@@ -331,8 +473,12 @@ class SimComm:
         return float(self.clocks.max())
 
     def load_imbalance(self) -> float:
-        """max/mean clock ratio — 1.0 is perfectly balanced."""
-        mean = float(self.clocks.mean())
+        """max/mean clock ratio over the machine — 1.0 is perfectly
+        balanced (modelled ranks count through the rank weights)."""
+        if self.nranks == self.machine_ranks:
+            mean = float(self.clocks.mean())
+        else:
+            mean = float(self.clocks @ self.partition.weights) / self.machine_ranks
         return float(self.clocks.max()) / mean if mean > 0 else 1.0
 
     # -- internal ------------------------------------------------------------------
@@ -340,54 +486,86 @@ class SimComm:
     def _sync_collective(self, nbytes: float, time_fn: Callable[..., float],
                          *, participants: Sequence[int] | None = None,
                          name: str = "collective") -> None:
-        self._check_alive(participants)
-        ranks = range(self.nranks) if participants is None else participants
-        p = len(list(ranks)) if participants is not None else self.nranks
+        """Synchronize *participants* (default: the whole machine) at
+        ``max(clocks) + time_fn(p, …)``."""
+        if participants is None:
+            self._check_alive()
+            p = self.machine_ranks
+            idx: Any = slice(None)
+        else:
+            if self.nranks != self.machine_ranks:
+                raise CommError("subgroup collectives need all-live mode (R = P)")
+            self._check_alive(participants)
+            idx = list(participants)
+            p = len(idx)
         link = self._collective_link()
         t = time_fn(p, nbytes, link) if time_fn is not cm.barrier_time else time_fn(p, link)
-        idx = list(participants) if participants is not None else slice(None)
-        start = float(np.max(self.clocks[idx]))
-        self.clocks[idx] = start + t
+        self.clocks[idx] = self._collective(name, t, p, nbytes, idx) + t
+
+    def _collective(self, name: str, t: float, p: int, nbytes: float,
+                    idx: Any = slice(None), total_bytes: float | None = None
+                    ) -> float:
+        """Account a *p*-rank collective of *nbytes* per rank lasting *t*
+        that starts at the latest clock of live ranks *idx*; returns the
+        start (callers move the clocks)."""
+        start = float(self.clocks[idx].max())
         self.stats.collectives += 1
-        self.stats.collective_bytes += nbytes * p
+        self.stats.collective_bytes += (nbytes * p if total_bytes is None
+                                        else total_bytes)
         self.stats.total_comm_time += t * p
         self._trace_collective(name, start, t, nbytes, p)
+        return start
+
+    def _fold(self, values: Sequence[Any], op: Callable,
+              weights: Sequence[int] | None = None) -> Any:
+        """Reduce live contributions to the full-machine value: ``np.add``
+        weights each by the ranks it stands for (*weights*, default the
+        partition's), idempotent ops (max / min / logical) fold directly.
+        """
+        if op is np.add:
+            acc = None
+            if weights is None:
+                weights = self.partition.weights_int
+            for v, w in zip(values, weights):
+                term = v * w if w != 1 else v
+                acc = term if acc is None else np.add(acc, term)
+            return acc
+        if not values:
+            return None
+        acc = values[0]
+        for v in values[1:]:
+            acc = op(acc, v)
+        return acc
 
     # -- point-to-point ---------------------------------------------------------------
 
     def _link(self, a: int, b: int) -> cm.LinkParameters:
-        """α-β path between two rank *indices* (overridden by ScaledComm
-        to translate live indices to their global machine positions)."""
-        return self.topology.link(a, b, device_buffers=self.device_buffers)
+        """α-β path between two live indices, placed at their machine ranks."""
+        live = self.partition.live_ranks
+        return self.topology.link(live[a], live[b],
+                                  device_buffers=self.device_buffers)
 
-    def sendrecv(self, src: int, dst: int, payload: Any, nbytes: float) -> Any:
-        """Blocking matched send/recv; returns the payload at the receiver."""
+    def _p2p(self, name: str, src: int, dst: int, nbytes: float) -> float:
+        """Account one message; returns its completion time at both ends."""
         if src == dst:
-            raise CommError("sendrecv with src == dst")
+            raise CommError(f"{name} with src == dst")
         self._check_alive([src, dst])
-        link = self._link(src, dst)
-        t = link.p2p_time(nbytes)
+        t = self._link(src, dst).p2p_time(nbytes)
         done = max(self.clocks[src], self.clocks[dst]) + t
-        self.clocks[src] = done
-        self.clocks[dst] = done
         self.stats.p2p_messages += 1
         self.stats.p2p_bytes += nbytes
         self.stats.total_comm_time += 2 * t
-        self._trace_p2p("sendrecv", src, dst, done - t, t, nbytes)
+        self._trace_p2p(name, src, dst, done - t, t, nbytes)
+        return done
+
+    def sendrecv(self, src: int, dst: int, payload: Any, nbytes: float) -> Any:
+        """Blocking matched send/recv; returns the payload at the receiver."""
+        self.clocks[src] = self.clocks[dst] = self._p2p("sendrecv", src, dst, nbytes)
         return payload
 
     def isendrecv(self, src: int, dst: int, nbytes: float) -> PendingOp:
         """Nonblocking transfer: completion time computed now, applied at wait."""
-        if src == dst:
-            raise CommError("isendrecv with src == dst")
-        self._check_alive([src, dst])
-        link = self._link(src, dst)
-        t = link.p2p_time(nbytes)
-        done = max(self.clocks[src], self.clocks[dst]) + t
-        self.stats.p2p_messages += 1
-        self.stats.p2p_bytes += nbytes
-        self.stats.total_comm_time += 2 * t
-        self._trace_p2p("isendrecv", src, dst, done - t, t, nbytes)
+        done = self._p2p("isendrecv", src, dst, nbytes)
         return PendingOp(complete_at={src: done, dst: done}, comm=self)
 
     def ineighbor_exchange(self, partners_of: Callable[[int], Sequence[int]],
@@ -396,34 +574,44 @@ class SimComm:
         """Nonblocking halo exchange: every rank swaps *nbytes* with each of
         its ``partners_of(rank)`` concurrently (MPI_Ineighbor_alltoall).
 
-        Each rank completes at ``max(own clock, partner clocks) + sum of
-        its per-partner p2p times`` — the serialization a single NIC
-        imposes on one rank's messages, while distinct ranks overlap.
+        ``partners_of`` speaks machine ranks and is called for each live
+        rank; modelled partners are read through their proxies, and each
+        live rank's traffic counts once per rank it stands for.  Each
+        rank completes at ``max(own clock, partner clocks) + sum of its
+        per-partner p2p times`` — the serialization a single NIC imposes
+        on one rank's messages, while distinct ranks overlap.
         Self-partners are ignored (degenerate axes of periodic grids).
         """
         self._check_alive()
         start_clocks = self.clocks.copy()
+        live = self.partition.live_ranks
+        weights = self.partition.weights_int
+        proxy = self.partition.proxy_live_index
         complete: dict[int, float] = {}
         nmessages = 0
         time_sum = 0.0
-        for r in range(self.nranks):
+        for i in range(self.nranks):
+            r = live[i]
             partners = [int(q) for q in partners_of(r) if int(q) != r]
             if not partners:
                 continue
-            t_r = sum(self._link(r, q).p2p_time(nbytes) for q in partners)
-            ready = max(float(start_clocks[r]),
-                        max(float(start_clocks[q]) for q in partners))
-            complete[r] = ready + t_r
-            nmessages += len(partners)
-            time_sum += t_r
+            t_r = sum(self.topology.link(r, q, device_buffers=self.device_buffers)
+                      .p2p_time(nbytes) for q in partners)
+            ready = max(float(start_clocks[i]),
+                        max(float(start_clocks[proxy[q]]) for q in partners))
+            complete[i] = ready + t_r
+            nmessages += weights[i] * len(partners)
+            time_sum += weights[i] * t_r
         self.stats.p2p_messages += nmessages
         self.stats.p2p_bytes += nmessages * nbytes
         self.stats.total_comm_time += time_sum
         if complete:
-            start = min(float(start_clocks[r]) for r in complete)
+            start = min(float(start_clocks[i]) for i in complete)
             span = max(complete.values()) - start
+            participants = (len(complete) if self.nranks == self.machine_ranks
+                            else self.machine_ranks)
             self._trace_collective(name, start, span, nbytes * nmessages,
-                                   len(complete))
+                                   participants)
         return PendingOp(complete_at=complete, comm=self)
 
     def neighbor_exchange(self, partners_of: Callable[[int], Sequence[int]],
@@ -445,17 +633,12 @@ class SimComm:
         self._check_inputs(values)
         self._check_root(root)
         self._sync_collective(nbytes, cm.reduce_time, name="reduce")
-        acc = values[0]
-        for v in values[1:]:
-            acc = op(acc, v)
-        return acc
+        return self._fold(values, op)
 
     def allreduce(self, values: Sequence[Any], nbytes: float, op: Callable = np.add) -> list[Any]:
         self._check_inputs(values)
         self._sync_collective(nbytes, cm.allreduce_time, name="allreduce")
-        acc = values[0]
-        for v in values[1:]:
-            acc = op(acc, v)
+        acc = self._fold(values, op)
         return [np.copy(acc) if isinstance(acc, np.ndarray) else acc
                 for _ in range(self.nranks)]
 
@@ -468,16 +651,10 @@ class SimComm:
         ``nbytes / p``), matching :func:`costmodel.reduce_scatter_time` —
         the first half of Rabenseifner's allreduce decomposition.
         """
-        if len(blocks) != self.nranks or any(len(row) != self.nranks for row in blocks):
-            raise CommError(f"reduce_scatter needs an {self.nranks}x{self.nranks} block matrix")
+        self._check_matrix(blocks, "reduce_scatter needs an {n}x{n} block matrix")
         self._sync_collective(nbytes, cm.reduce_scatter_time, name="reduce_scatter")
-        out: list[Any] = []
-        for dst in range(self.nranks):
-            acc = blocks[0][dst]
-            for src in range(1, self.nranks):
-                acc = op(acc, blocks[src][dst])
-            out.append(acc)
-        return out
+        return [self._fold([blocks[src][dst] for src in range(self.nranks)], op)
+                for dst in range(self.nranks)]
 
     def allgather(self, values: Sequence[Any], nbytes: float) -> list[list[Any]]:
         self._check_inputs(values)
@@ -497,99 +674,59 @@ class SimComm:
         self._sync_collective(nbytes, cm.bcast_time, name="scatter")
         return list(values)
 
-    def alltoall(self, matrix: Sequence[Sequence[Any]], nbytes_per_pair: float) -> list[list[Any]]:
-        """``matrix[src][dst]`` payloads → returns ``out[dst][src]``."""
-        if len(matrix) != self.nranks or any(len(row) != self.nranks for row in matrix):
-            raise CommError(f"alltoall needs an {self.nranks}x{self.nranks} payload matrix")
-        self._sync_collective(nbytes_per_pair * self.nranks, lambda p, n, l:
-                              cm.alltoall_time(p, nbytes_per_pair, l),
-                              name="alltoall")
+    def _transpose(self, matrix: Sequence[Sequence[Any]]) -> list[list[Any]]:
         return [[matrix[src][dst] for src in range(self.nranks)]
                 for dst in range(self.nranks)]
+
+    def alltoall(self, matrix: Sequence[Sequence[Any]], nbytes_per_pair: float) -> list[list[Any]]:
+        """``matrix[src][dst]`` payloads → returns ``out[dst][src]``."""
+        out, op = self._alltoall("alltoall", matrix, nbytes_per_pair)
+        op.wait()
+        return out
 
     def ialltoall(self, matrix: Sequence[Sequence[Any]],
                   nbytes_per_pair: float) -> tuple[list[list[Any]], PendingOp]:
         """Nonblocking alltoall: data available immediately for staging,
         clocks advance at ``wait`` — the overlap GESTS uses to hide the
         transpose behind local FFT passes."""
-        if len(matrix) != self.nranks or any(len(row) != self.nranks for row in matrix):
-            raise CommError(f"alltoall needs an {self.nranks}x{self.nranks} payload matrix")
+        return self._alltoall("ialltoall", matrix, nbytes_per_pair)
+
+    def _alltoall(self, name: str, matrix: Sequence[Sequence[Any]],
+                  nbytes_per_pair: float) -> tuple[list[list[Any]], PendingOp]:
+        self._check_matrix(matrix, "alltoall needs an {n}x{n} payload matrix")
         self._check_alive()
-        link = self._collective_link()
-        t = cm.alltoall_time(self.nranks, nbytes_per_pair, link)
-        start = float(self.clocks.max())
+        p = self.machine_ranks
+        t = cm.alltoall_time(p, nbytes_per_pair, self._collective_link())
+        start = self._collective(name, t, p, nbytes_per_pair * p)
         done = {r: start + t for r in range(self.nranks)}
-        self.stats.collectives += 1
-        self.stats.collective_bytes += nbytes_per_pair * self.nranks * self.nranks
-        self.stats.total_comm_time += t * self.nranks
-        self._trace_collective("ialltoall", start, t,
-                               nbytes_per_pair * self.nranks, self.nranks)
-        out = [[matrix[src][dst] for src in range(self.nranks)]
-               for dst in range(self.nranks)]
-        return out, PendingOp(complete_at=done, comm=self)
-
-    def split(self, color_of: Callable[[int], int], *,
-              shared_stats: bool = False) -> dict[int, "SimComm"]:
-        """MPI_Comm_split: one sub-communicator per color.
-
-        Each sub-communicator starts with its members' current clocks (so
-        prior work carries over); the parent keeps its own clocks.  Used
-        for the row/column communicators of pencil decompositions.
-
-        With ``shared_stats=True`` the children record into the parent's
-        :class:`CommStats` object directly, so multi-comm campaigns
-        report true totals without a merge step; otherwise call
-        :meth:`merge_child_stats` when the children retire.
-        """
-        groups: dict[int, list[int]] = {}
-        for r in range(self.nranks):
-            groups.setdefault(color_of(r), []).append(r)
-        out: dict[int, SimComm] = {}
-        for color, members in groups.items():
-            sub = SimComm(len(members), self.topology.fabric,
-                          ranks_per_node=self.topology.ranks_per_node,
-                          device_buffers=self.device_buffers,
-                          tracer=self.tracer)
-            sub.clocks = self.clocks[members].copy()
-            sub.parent_ranks = tuple(members)
-            sub.parent_machine_ranks = tuple(members)
-            if shared_stats:
-                sub.stats = self.stats
-            out[color] = sub
-        return out
-
-    def merge_child_stats(self, children: "Sequence[SimComm] | dict[Any, SimComm]") -> None:
-        """Fold child communicators' accounting into this comm's stats.
-
-        Children created with ``shared_stats=True`` already write here and
-        are skipped, so mixing the two modes never double-counts.
-        """
-        comms = children.values() if isinstance(children, dict) else children
-        for child in comms:
-            if child.stats is self.stats:
-                continue
-            self.stats.merge(child.stats)
+        return self._transpose(matrix), PendingOp(complete_at=done, comm=self)
 
     def alltoallv(self, matrix: Sequence[Sequence[Any]],
                   nbytes: Sequence[Sequence[float]]) -> list[list[Any]]:
-        """Variable-size alltoall: ``nbytes[src][dst]`` per payload."""
-        if len(matrix) != self.nranks or any(len(r) != self.nranks for r in matrix):
-            raise CommError(f"alltoallv needs an {self.nranks}x{self.nranks} payload matrix")
-        if len(nbytes) != self.nranks or any(len(r) != self.nranks for r in nbytes):
-            raise CommError("nbytes must match the payload matrix shape")
+        """Variable-size alltoall: ``nbytes[src][dst]`` per payload.
+
+        Priced from the exact matrix when every rank is live; with
+        modelled ranks the full matrix is never materialized, so the
+        conservative pairwise bound gates every round by the largest
+        exemplar pair.
+        """
+        self._check_matrix(matrix, "alltoallv needs an {n}x{n} payload matrix")
+        self._check_matrix(nbytes, "nbytes must match the payload matrix shape")
         self._check_alive()
+        p = self.machine_ranks
         link = self._collective_link()
-        t = cm.alltoallv_time([list(map(float, row)) for row in nbytes], link)
-        start = float(self.clocks.max())
-        self.clocks[:] = start + t
-        self.stats.collectives += 1
-        total_bytes = float(sum(sum(r) for r in nbytes))
-        self.stats.collective_bytes += total_bytes
-        self.stats.total_comm_time += t * self.nranks
-        self._trace_collective("alltoallv", start, t,
-                               total_bytes / self.nranks, self.nranks)
-        return [[matrix[src][dst] for src in range(self.nranks)]
-                for dst in range(self.nranks)]
+        if self.nranks == p:
+            t = cm.alltoallv_time([list(map(float, row)) for row in nbytes], link)
+            total_bytes = float(sum(sum(r) for r in nbytes))
+        else:
+            worst = max(max(float(b) for b in row) for row in nbytes)
+            t = (p - 1) * link.p2p_time(worst)
+            mean_pair = float(sum(sum(float(b) for b in row) for row in nbytes))
+            mean_pair /= self.nranks * self.nranks
+            total_bytes = mean_pair * p * p
+        self.clocks[:] = self._collective("alltoallv", t, p, total_bytes / p,
+                                          total_bytes=total_bytes) + t
+        return self._transpose(matrix)
 
     def barrier(self) -> None:
         self._sync_collective(0.0, cm.barrier_time, name="barrier")
@@ -599,6 +736,11 @@ class SimComm:
     def _check_inputs(self, values: Sequence[Any]) -> None:
         if len(values) != self.nranks:
             raise CommError(f"expected {self.nranks} per-rank values, got {len(values)}")
+
+    def _check_matrix(self, matrix: Sequence[Sequence[Any]], message: str) -> None:
+        n = self.nranks
+        if len(matrix) != n or any(len(row) != n for row in matrix):
+            raise CommError(message.format(n=n))
 
     def _check_root(self, root: int) -> None:
         if not 0 <= root < self.nranks:

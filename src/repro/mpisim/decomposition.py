@@ -184,37 +184,24 @@ class BlockDecomposition:
         return out
 
     def boundary_class(self, rank: int) -> str:
-        """Structural class of *rank* in the (non-periodic) process grid.
-
-        Each axis contributes ``lo`` / ``mid`` / ``hi`` (collapsing to
-        ``lo``/``hi`` when the axis has fewer than three ranks), so the
-        grid has at most 27 classes — the corner/edge/face/interior
-        taxonomy the representative-rank partitioner groups by.  Under
-        periodic wrap all ranks are symmetric; this classification keeps
-        the open-boundary distinctions, which is conservative (more
-        exemplars than strictly needed, never fewer).
-        """
-        pos = self.coords(rank)
-        parts = []
-        for i, (c, p) in enumerate(zip(pos, (self.px, self.py, self.pz))):
-            axis = "xyz"[i]
-            if p == 1:
-                parts.append(f"{axis}*")
-            elif c == 0:
-                parts.append(f"{axis}lo")
-            elif c == p - 1:
-                parts.append(f"{axis}hi")
-            else:
-                parts.append(f"{axis}mid")
-        return "/".join(parts)
+        """Structural class of *rank*: ``boundary_classes()[rank]``."""
+        self.coords(rank)  # range check
+        return str(self.boundary_classes()[rank])
 
     def boundary_classes(self) -> np.ndarray:
-        """Vectorized :meth:`boundary_class` over every rank.
+        """Structural class of every rank in the (non-periodic) process
+        grid.
 
-        Encodes each axis category (lo / mid / hi / degenerate ``*``) in
-        two bits and decodes through a 64-entry string table, so the
-        whole map costs a few array passes — the partitioner calls this
-        at full machine scale.
+        Each axis contributes ``lo`` / ``mid`` / ``hi`` (collapsing to
+        ``lo``/``hi`` when the axis has fewer than three ranks, ``*``
+        when it has one), so the grid has at most 27 classes — the
+        corner/edge/face/interior taxonomy the representative-rank
+        partitioner groups by.  Under periodic wrap all ranks are
+        symmetric; this classification keeps the open-boundary
+        distinctions, which is conservative (more exemplars than
+        strictly needed, never fewer).  Each axis category is encoded in
+        two bits and decoded through a 64-entry string table, so the
+        whole map costs a few array passes at full machine scale.
         """
         ranks = np.arange(self.nranks, dtype=np.int64)
         iz, rem = np.divmod(ranks, self.px * self.py)

@@ -4,9 +4,10 @@ At full-machine scale almost every rank is *structurally identical* to
 thousands of others: an interior rank of a 3-D block decomposition sees
 the same six-neighbour halo, the same collective fan-ins and the same
 per-step compute as every other interior rank.  The scaled execution
-mode (:mod:`repro.mpisim.scaled`) exploits that symmetry by executing a
-few **representative** ranks concretely and modelling the rest through
-their group's clock aggregates.
+mode (:class:`~repro.mpisim.comm.SimComm` built with ``partition=``)
+exploits that symmetry by executing a few **representative** ranks
+concretely and modelling the rest through their group's clock
+aggregates.
 
 This module supplies the assignment layer, shaped after nengo_mpi's
 ``Partitioner`` / ``verify_assignments`` pair: a partitioner produces a
@@ -131,27 +132,85 @@ class RankPartition:
         return out
 
     @cached_property
+    def group_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per group, ``(live indices, mirror counts)`` of its
+        representatives in the group's order — the round-robin counts of
+        :meth:`RankGroup.proxy_counts`, computed arithmetically."""
+        out = []
+        for g in self.groups:
+            idx = np.searchsorted(self.live_ranks, g.representatives)
+            base, extra = divmod(g.modeled_count, idx.size)
+            counts = (base + (np.arange(idx.size) < extra)).astype(np.int64)
+            idx.flags.writeable = counts.flags.writeable = False
+            out.append((idx, counts))
+        return tuple(out)
+
+    @cached_property
     def weights(self) -> np.ndarray:
         """Ranks each live rank stands for (itself + proxied modelled),
         read-only."""
         w = np.ones(self.nlive, dtype=np.int64)
-        for g in self.groups:
-            for rep, n in g.proxy_counts().items():
-                w[self.live_index[rep]] += n
+        for idx, counts in self.group_tables:
+            w[idx] += counts
         w.flags.writeable = False
         return w
+
+    @cached_property
+    def weights_int(self) -> tuple[int, ...]:
+        """:attr:`weights` as Python ints (the weighted-fold hot path)."""
+        return tuple(self.weights.tolist())
+
+    @cached_property
+    def proxy_live_index(self) -> np.ndarray:
+        """Live index every machine rank reads its clock from:
+        representatives map to themselves, modelled ranks to their
+        round-robin proxy.  ``(nranks,)`` int64, read-only."""
+        out = np.empty(self.nranks, dtype=np.int64)
+        for g, (idx, _) in zip(self.groups, self.group_tables):
+            out[list(g.representatives)] = idx
+            ranks, positions = g.modeled_view
+            out[ranks] = idx[positions % idx.size]
+        out.flags.writeable = False
+        return out
 
     @property
     def modeled_count(self) -> int:
         return self.nranks - self.nlive
 
-    def describe(self) -> str:
-        rows = ", ".join(
-            f"{g.name}[{len(g.members)}|{len(g.representatives)} live]"
-            for g in self.groups
-        )
-        return (f"RankPartition(P={self.nranks}, R={self.nlive}, "
-                f"groups={len(self.groups)}: {rows})")
+    def induced(self, members: np.ndarray
+                ) -> tuple["RankPartition", np.ndarray]:
+        """The partition of the machine ranks *members* (sorted),
+        renumbered densely in rank order: each group intersected with
+        *members*, a group left without representatives promoting its
+        first surviving member.
+
+        Returns ``(partition, sources)``: ``sources[j]`` is the live
+        index, in this partition, whose clock the new ``j``-th live rank
+        carries over — a surviving representative's own, or a promoted
+        member's proxy's.  An all-live partition induces the all-live
+        partition of ``members.size`` ranks.
+        """
+        m = int(members.size)
+        if self.modeled_count == 0:
+            return _all_live_partition(m), members
+        remap = np.full(self.nranks, -1, dtype=np.int64)
+        remap[members] = np.arange(m, dtype=np.int64)
+        groups: list[RankGroup] = []
+        source_of: dict[int, int] = {}
+        for g in self.groups:
+            mem = np.asarray(g.members, dtype=np.int64)
+            keep = mem[remap[mem] >= 0]
+            if keep.size == 0:
+                continue
+            reps = ([r for r in g.representatives if remap[r] >= 0]
+                    or [int(keep[0])])
+            new_reps = tuple(int(remap[r]) for r in reps)
+            source_of.update(zip(new_reps, reps))
+            groups.append(RankGroup(g.name, tuple(remap[keep].tolist()),
+                                    new_reps))
+        part = RankPartition(nranks=m, groups=tuple(groups))
+        return part, self.proxy_live_index[[source_of[r]
+                                            for r in part.live_ranks]]
 
 
 def verify_assignments(partition: RankPartition) -> None:
@@ -202,9 +261,15 @@ def verify_assignments(partition: RankPartition) -> None:
 def all_live_partition(nranks: int) -> RankPartition:
     """The degenerate partition: every rank is its own representative.
 
-    A :class:`~repro.mpisim.scaled.ScaledComm` built on it reproduces
-    :class:`~repro.mpisim.comm.SimComm` bit for bit (``R = P``).
+    What a :class:`~repro.mpisim.comm.SimComm` built without a partition
+    runs on (``R = P``).  Memoized per size, so building a communicator
+    does no O(P) work after the first of its size.
     """
+    return _all_live_partition(int(nranks))
+
+
+@lru_cache(maxsize=128)
+def _all_live_partition(nranks: int) -> RankPartition:
     ranks = tuple(range(nranks))
     return RankPartition(nranks=nranks,
                          groups=(RankGroup("all", ranks, ranks),))

@@ -124,9 +124,10 @@ def scaled_fault_injector(rng: np.random.Generator, machine: MachineSpec, *,
 
     Targets draw uniformly over every machine rank (``machine_ranks``,
     defaulting to ``nodes x gpus_per_node`` — 72,592 on Frontier), not
-    just the exemplars a ScaledComm executes, and each enabled kind's
-    MTBF is the *system* MTBF from :func:`system_mtbf` — node failures
-    compose, so doubling the node count halves the time between events.
+    just the exemplars a representative-rank communicator executes, and
+    each enabled kind's MTBF is the *system* MTBF from
+    :func:`system_mtbf` — node failures compose, so doubling the node
+    count halves the time between events.
 
     ``time_compression`` divides the MTBF for compressed-timescale
     campaigns (a seconds-long simulated campaign standing in for a

@@ -99,8 +99,8 @@ class ShrinkPlan:
     #: side of ``send_items``.  Equals ``new_nranks`` for a dense plan;
     #: a *weighted-group* plan (built with ``pair_of``) folds the
     #: machine-pair traffic onto ``R`` exemplar pairs, each cell holding
-    #: the worst per-pair count it stands for — the bound ScaledComm's
-    #: conservative ``alltoallv`` prices exactly.  ``migrated_items`` /
+    #: the worst per-pair count it stands for — the bound the
+    #: representative-rank ``alltoallv`` prices exactly.  ``migrated_items`` /
     #: ``reloaded_items`` stay machine-exact either way.
     pair_ranks: int = 0
 
@@ -130,7 +130,7 @@ def plan_shrink(nitems: int, survivors: Sequence[int], old_nranks: int,
 
     ``pair_of`` (length ``len(survivors)``) maps each *new* rank to the
     exemplar slot that stands for it on a representative-rank
-    communicator (:meth:`~repro.mpisim.scaled.ScaledComm.proxy_live_indices`
+    communicator (:meth:`~repro.mpisim.comm.SimComm.proxy_live_indices`
     of the shrunk comm).  When given, the dense
     ``new_nranks x new_nranks`` send matrix — 42 GB at 72,592 survivors
     — is never materialized: machine pairs fold onto exemplar pairs,
@@ -219,9 +219,7 @@ def shrink_and_redistribute(app: object, comm: SimComm
     spec = domain_of(app)
     if spec is None or spec.nitems == 0:
         return new_comm, None, 0.0
-    survivors = (getattr(new_comm, "parent_machine_ranks", None)
-                 or new_comm.parent_ranks
-                 or tuple(range(new_comm.machine_ranks)))
+    survivors = new_comm.parent_ranks
     pair_of = None
     if new_comm.machine_ranks != new_comm.nranks:
         # representative-rank survivor comm: fold the machine-pair

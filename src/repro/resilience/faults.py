@@ -229,10 +229,10 @@ class FaultInjector:
             return
         if event.kind is FaultKind.RANK_FAILURE:
             if comm is not None:
-                # modulo the *machine* rank count: on a ScaledComm the
-                # target lands anywhere on the modelled machine (72,592
-                # ranks), not just the R exemplars; on a SimComm
-                # machine_ranks == nranks and nothing changes
+                # modulo the *machine* rank count: on a representative-
+                # rank comm the target lands anywhere on the modelled
+                # machine (72,592 ranks), not just the R exemplars; on an
+                # all-live comm machine_ranks == nranks
                 rank = event.target % comm.machine_ranks
                 comm.fail_rank(rank)
                 try:
@@ -272,8 +272,8 @@ class FaultInjector:
         """Undo fired damage: revive failed ranks, release OOM pressure."""
         if comm is not None:
             # failed_ranks speaks machine numbering on every communicator
-            # (a ScaledComm reports dead modelled ranks too, which the
-            # live-index `failed` mask cannot)
+            # (dead modelled ranks included, which the live-index
+            # `failed` mask cannot report)
             for rank in comm.failed_ranks():
                 comm.restore_rank(rank)
         for dev, allocs in self._oom_reservations:

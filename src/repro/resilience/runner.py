@@ -256,11 +256,10 @@ class ShrinkContinuePolicy(RecoveryPolicy):
             runner.injector.clear(device=runner.device)
         if (event is not None and event.kind is FaultKind.DEVICE_OOM
                 and not comm.failed_ranks()):
-            # machine numbering throughout: on a ScaledComm the OOM'd
-            # node can be any modelled rank, on a SimComm it's identical
-            # to the old index arithmetic
+            # machine numbering throughout: on a representative-rank
+            # comm the OOM'd node can be any modelled rank
             comm.fail_rank(event.target % comm.machine_ranks)
-        if not comm.alive_ranks():
+        if comm.machine_alive_count == 0:
             raise ResilienceError("no surviving ranks to shrink onto")
         try:
             new_comm, plan, _ = shrink_and_redistribute(runner.app, comm)

@@ -44,7 +44,6 @@ import numpy as np
 from repro.hardware.machine import MachineSpec
 from repro.mpisim.comm import SimComm
 from repro.mpisim.partition import RankGroupPartitioner
-from repro.mpisim.scaled import ScaledComm
 from repro.observability.metrics import MetricsRegistry
 from repro.resilience.faults import FaultInjector, FaultKind
 from repro.resilience.runner import (
@@ -94,10 +93,9 @@ def _campaign_comm(nodes: int, fabric) -> SimComm:
     Fault targets, shrink survivors and rank accounting all speak
     machine numbering on either, so the runner code path is identical.
     """
-    if nodes < SCALED_COMM_MIN_NODES:
-        return SimComm(nodes, fabric)
-    partition = RankGroupPartitioner("endpoints").partition(nodes)
-    return ScaledComm(nodes, fabric, partition=partition)
+    partition = (None if nodes < SCALED_COMM_MIN_NODES
+                 else RankGroupPartitioner("endpoints").partition(nodes))
+    return SimComm(nodes, fabric, partition=partition)
 
 
 def execute_campaign(job: Job, machine: MachineSpec, *, seed: int,

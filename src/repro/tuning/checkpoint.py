@@ -4,7 +4,7 @@ The knob is the Young/Daly question: how many compute steps between
 checkpoints on each machine?  The *measured* objective is the overhead
 fraction a fault-injected :class:`~repro.apps.exasky.ExaskyCampaign`
 actually pays through the :class:`~repro.resilience.runner.ResilientRunner`
-on a representative-rank :class:`~repro.mpisim.scaled.ScaledComm` of the
+on a representative-rank :class:`~repro.mpisim.comm.SimComm` of the
 full machine — not the analytic formula, which enters only as a
 cross-check (the recorded ``w_star_steps`` and agreement factor).
 
@@ -31,8 +31,8 @@ import numpy as np
 
 from repro.apps.exasky import ExaskyCampaign
 from repro.hardware.machine import MachineSpec
+from repro.mpisim.comm import SimComm
 from repro.mpisim.partition import RankGroupPartitioner
-from repro.mpisim.scaled import ScaledComm
 from repro.resilience.daly import scaled_fault_injector, system_mtbf
 from repro.resilience.runner import CheckpointCostModel, ResilientRunner
 from repro.resilience.snapshot import encode_snapshot
@@ -99,7 +99,7 @@ def _campaign_overhead(machine: MachineSpec, *, interval_steps: int,
     app = ExaskyCampaign(nparticles=nparticles, seed=seed)
     ranks = machine.nodes * max(machine.node.gpus_per_node, 1)
     part = RankGroupPartitioner("endpoints").partition(ranks)
-    comm = ScaledComm(
+    comm = SimComm(
         ranks, machine.node.interconnect,
         ranks_per_node=max(machine.node.gpus_per_node, 1),
         device_buffers=machine.node.has_gpus, partition=part,

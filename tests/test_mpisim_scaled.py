@@ -1,4 +1,4 @@
-"""Tests for the representative-rank engine: partitioning + ScaledComm."""
+"""Tests for the representative-rank engine: partitioning + SimComm(partition=…)."""
 
 from collections import Counter
 
@@ -10,12 +10,12 @@ from repro.hardware.interconnect import SLINGSHOT_11
 from repro.mpisim import (
     BlockDecomposition,
     CommError,
+    CommStats,
     PartitionError,
     RankFailedError,
     RankGroup,
     RankGroupPartitioner,
     RankPartition,
-    ScaledComm,
     SimComm,
     Topology,
     all_live_partition,
@@ -74,7 +74,7 @@ class TestProxyLookup:
     @settings(max_examples=60, deadline=None)
     @given(_hand_built_partitions())
     def test_matches_round_robin_reference(self, part):
-        comm = ScaledComm(part.nranks, SLINGSHOT_11, partition=part)
+        comm = SimComm(part.nranks, SLINGSHOT_11, partition=part)
         pair_of = comm.proxy_live_indices()
         for g in part.groups:
             ref = _reference_proxy_assignment(g)
@@ -236,8 +236,8 @@ class TestSharedPartitions:
 
     def test_communicators_on_one_partition_keep_own_faults(self):
         part = RankGroupPartitioner("endpoints").partition(16)
-        a = ScaledComm(16, SLINGSHOT_11, partition=part)
-        b = ScaledComm(16, SLINGSHOT_11,
+        a = SimComm(16, SLINGSHOT_11, partition=part)
+        b = SimComm(16, SLINGSHOT_11,
                        partition=RankGroupPartitioner("endpoints")
                        .partition(16))
         assert a.partition is b.partition
@@ -288,7 +288,7 @@ class TestGridHelpers:
         assert not topo.is_node_leader(5)
 
 
-# -- ScaledComm -----------------------------------------------------------------
+# -- representative-rank communicator ------------------------------------------
 
 
 def _drive(comm):
@@ -313,38 +313,101 @@ def _drive(comm):
     comm.barrier()
 
 
+#: ``_drive`` outputs recorded when exemplar mode was a separate
+#: ``ScaledComm`` subclass: every rank's final clock (``float.hex``), the
+#: CommStats, and ``load_imbalance`` after ``_skew``.
+_DRIVE_GOLDENS = {
+    (4, 1): ("0x1.85efe8f5c5d40p-13",
+             CommStats(p2p_messages=10, p2p_bytes=10752.0, collectives=8,
+                       collective_bytes=4576.0,
+                       total_comm_time=0.00015715686956521737),
+             "0x1.b30f8b786be41p+0"),
+    (8, 4): ("0x1.b6a203e61123cp-13",
+             CommStats(p2p_messages=18, p2p_bytes=18944.0, collectives=8,
+                       collective_bytes=15296.0,
+                       total_comm_time=0.0005582885565217392),
+             "0x1.f6f47f8570205p+0"),
+    (16, 8): ("0x1.0d7632b150c23p-12",
+              CommStats(p2p_messages=34, p2p_bytes=35328.0, collectives=8,
+                        collective_bytes=55168.0,
+                        total_comm_time=0.002092832139130435),
+              "0x1.f9aa0b613613cp+0"),
+}
+_SCALED16_GOLDEN = (
+    "0x1.0d7632b150c23p-12",
+    CommStats(p2p_messages=34, p2p_bytes=35328.0, collectives=8,
+              collective_bytes=55168.0,
+              total_comm_time=0.0020900796521739133),
+    "0x1.888d96bd3bd98p+0")
+
+
+def _skew(comm):
+    """Unbalance the clocks: the first live rank and the second-to-last
+    index race ahead by different amounts."""
+    comm.advance(0, 3e-4)
+    comm.advance(comm.nranks - 2, 1e-4)
+
+
+def _assert_golden(comm, golden):
+    clock, stats, imbalance = golden
+    _drive(comm)
+    assert [float(c).hex() for c in comm.clocks] == [clock] * comm.nranks
+    assert comm.stats == stats
+    _skew(comm)
+    assert float(comm.load_imbalance()).hex() == imbalance
+
+
 class TestScaledCommIdentity:
-    """R = P must reproduce SimComm bit for bit."""
+    """All-live and exemplar communicators reproduce, bit for bit, the
+    outputs recorded before the representative-rank engine folded into
+    SimComm."""
 
     @pytest.mark.parametrize("nranks,rpn", [(4, 1), (8, 4), (16, 8)])
     def test_bit_identity(self, nranks, rpn):
-        ref = SimComm(nranks, SLINGSHOT_11, ranks_per_node=rpn,
-                      device_buffers=True)
-        scl = ScaledComm(nranks, SLINGSHOT_11, ranks_per_node=rpn,
-                         device_buffers=True)
-        _drive(ref)
-        _drive(scl)
-        assert np.array_equal(ref.clocks, scl.clocks)
-        assert ref.stats == scl.stats
+        comm = SimComm(nranks, SLINGSHOT_11, ranks_per_node=rpn,
+                       device_buffers=True)
+        _assert_golden(comm, _DRIVE_GOLDENS[nranks, rpn])
+
+    def test_exemplar_golden(self, scaled16):
+        _assert_golden(scaled16, _SCALED16_GOLDEN)
+
+    def test_traced_edges_per_rank_when_all_live(self):
+        tracer = Tracer()
+        _drive(SimComm(4, SLINGSHOT_11, device_buffers=True, tracer=tracer))
+        assert sorted(tracer.metrics.counters) == [
+            "mpisim.collective_bytes", "mpisim.collectives",
+            "mpisim.edge[0->1].bytes", "mpisim.edge[0->1].messages"]
+        assert {s.tid for s in tracer.spans} == {"collectives", "rank1"}
+
+    def test_traced_edges_per_group_with_exemplars(self):
+        tracer = Tracer()
+        part = RankGroupPartitioner("endpoints").partition(16)
+        _drive(SimComm(16, SLINGSHOT_11, ranks_per_node=8,
+                       device_buffers=True, partition=part, tracer=tracer))
+        assert sorted(tracer.metrics.counters) == [
+            "mpisim.collective_bytes", "mpisim.collectives",
+            "mpisim.group_edge[first->interior].bytes",
+            "mpisim.group_edge[first->interior].messages"]
 
     def test_default_partition_is_all_live(self):
-        c = ScaledComm(6, SLINGSHOT_11)
+        c = SimComm(6, SLINGSHOT_11)
         assert c.nranks == 6
         assert c.machine_ranks == 6
+        assert c.partition is all_live_partition(6)
         assert c.representatives == tuple(range(6))
         assert list(c.rank_weights) == [1] * 6
 
     def test_partition_size_mismatch_rejected(self):
         with pytest.raises(CommError, match="partition covers"):
-            ScaledComm(8, SLINGSHOT_11, partition=all_live_partition(4))
+            SimComm(8, SLINGSHOT_11, partition=all_live_partition(4))
 
 
 @pytest.fixture
 def scaled16():
     """16 machine ranks, 3 exemplars (endpoints partition)."""
     part = RankGroupPartitioner("endpoints").partition(16)
-    return ScaledComm(16, SLINGSHOT_11, ranks_per_node=8,
-                      device_buffers=True, partition=part)
+    return SimComm(16, SLINGSHOT_11, ranks_per_node=8,
+                   device_buffers=True, partition=part)
 
 
 class TestScaledCommModeled:
@@ -410,7 +473,7 @@ class TestScaledCommModeled:
         assert scaled16.elapsed == 2.5
 
     def test_describe(self, scaled16):
-        assert scaled16.describe() == "ScaledComm(P=16, R=3, groups=3)"
+        assert scaled16.describe() == "SimComm(P=16, R=3, groups=3)"
 
     def test_subgroup_collectives_rejected(self, scaled16):
         with pytest.raises(CommError, match="all-live"):
@@ -457,7 +520,7 @@ class TestScaledCommModeled:
         scaled16.fail_rank(5)
         sub = scaled16.shrink()
         assert sub.machine_ranks == 15
-        assert sub.parent_machine_ranks == tuple(
+        assert sub.parent_ranks == tuple(
             r for r in range(16) if r != 5)
         # dense renumbering preserved order: old 15 became new 14
         assert sub.representatives == (0, 1, 14)
@@ -474,13 +537,13 @@ class TestScaledCommModeled:
         assert sub.rank_weights.tolist() == [1, 13, 1]
         # the promotee inherits the modelled-rank clock estimate, not zero
         assert sub.clocks[1] == pytest.approx(
-            scaled16._clock_estimate(2, scaled16.clocks))
+            scaled16.clocks[scaled16.proxy_live_indices()[2]])
 
     def test_split_over_machine_ranks(self, scaled16):
         subs = scaled16.split(lambda r: r % 2)
         assert sorted(subs) == [0, 1]
         assert subs[0].machine_ranks == 8 and subs[1].machine_ranks == 8
-        assert subs[0].parent_machine_ranks == tuple(range(0, 16, 2))
+        assert subs[0].parent_ranks == tuple(range(0, 16, 2))
         total = sum(s.machine_ranks for s in subs.values())
         assert total == scaled16.machine_ranks
 
@@ -511,7 +574,7 @@ class TestScaledCommModeled:
     def test_group_edge_tracing(self):
         tracer = Tracer()
         part = RankGroupPartitioner("endpoints").partition(16)
-        c = ScaledComm(16, SLINGSHOT_11, ranks_per_node=8,
+        c = SimComm(16, SLINGSHOT_11, ranks_per_node=8,
                        device_buffers=True, partition=part, tracer=tracer)
         c.sendrecv(0, 1, None, 128.0)
         names = set(tracer.metrics.counters)

@@ -1,9 +1,10 @@
 """Machine-scale resilience: fault matrix, R=P differential, Daly sweep.
 
-The acceptance tests for lifting ScaledComm's all-live gate: every fault
-kind lands on both exemplar and modelled targets, fault campaigns on an
-R=P ScaledComm are bit-identical to SimComm under the same seed, and the
-measured optimal checkpoint interval at 4,096+ nodes agrees with
+The acceptance tests for fault campaigns on representative-rank
+communicators: every fault kind lands on both exemplar and modelled
+targets, fault campaigns on a communicator given the all-live partition
+explicitly are bit-identical to the default one under the same seed, and
+the measured optimal checkpoint interval at 4,096+ nodes agrees with
 Young/Daly within 2x.
 """
 
@@ -18,7 +19,6 @@ from repro.hardware.interconnect import SLINGSHOT_11
 from repro.mpisim import (
     CommError,
     RankGroupPartitioner,
-    ScaledComm,
     SimComm,
     all_live_partition,
 )
@@ -47,8 +47,8 @@ from repro.experiments.resilience_at_scale import (
 def scaled16():
     """16 machine ranks, 3 exemplars (reps 0, 1, 15)."""
     part = RankGroupPartitioner("endpoints").partition(16)
-    return ScaledComm(16, SLINGSHOT_11, ranks_per_node=8,
-                      device_buffers=True, partition=part)
+    return SimComm(16, SLINGSHOT_11, ranks_per_node=8,
+                   device_buffers=True, partition=part)
 
 
 def _injector(**mtbf):
@@ -124,7 +124,51 @@ class TestScaledFaultMatrix:
         scaled16.restore_rank(5)  # never failed: a no-op, like SimComm
 
 
-# -- R=P differential: fault campaigns bit-identical to SimComm --------------
+class TestAllExemplarsDead:
+    """Every exemplar dead, 13 modelled survivors: the survivors carry on
+    on promoted exemplars."""
+
+    def test_shrink_promotes_survivors(self, scaled16):
+        scaled16.advance_all(np.array([1.0, 2.0, 3.0]))
+        for rank in scaled16.representatives:  # 0, 1, 15
+            scaled16.fail_rank(rank)
+        assert scaled16.alive_ranks() == []
+        assert scaled16.machine_alive_count == 13
+        sub = scaled16.shrink()
+        assert sub.machine_ranks == 13
+        assert sub.parent_ranks == tuple(range(2, 15))
+        assert sub.representatives == (0,)  # old rank 2, promoted
+        assert sub.rank_weights.tolist() == [13]
+        # the promotee starts at its dead proxy's (rank 1's) clock
+        assert sub.clocks.tolist() == [2.0]
+
+    def test_agree_priced_at_machine_survivors(self, scaled16):
+        for rank in scaled16.representatives:
+            scaled16.fail_rank(rank)
+        acc, dead = scaled16.agree()
+        assert acc is None  # no live exemplar holds survivor data
+        assert dead == (0, 1, 15)
+        assert scaled16.stats.collective_bytes == 8.0 * 13
+
+    def test_shrink_policy_runner_survives(self, scaled16):
+        scaled16.fail_rank(0)
+        scaled16.fail_rank(1)
+        injector = _injector(rank_failure=1.0e9)
+        # script the next failure: the last exemplar dies early on
+        first = injector.pop()
+        injector.requeue(FaultEvent(time=0.01, kind=first.kind, target=15))
+        runner = ResilientRunner(
+            ExaskyCampaign(nparticles=64, seed=3), checkpoint_interval=4,
+            injector=injector,
+            cost_model=CheckpointCostModel(restart_cost=0.02),
+            comm=scaled16, policy="shrink", backoff_base=0.0)
+        stats = runner.run(8)
+        assert stats.shrinks == 1
+        assert stats.ranks_final == 13
+        assert runner.comm.representatives == (0,)
+
+
+# -- R=P differential: explicit all-live partition bit-identical to default ---
 
 
 def _fault_campaign(comm, *, policy, seed=7, nsteps=24):
@@ -151,9 +195,9 @@ class TestRankIdentityDifferential:
     def test_bit_identical_to_simcomm(self, policy):
         sim = SimComm(8, SLINGSHOT_11, ranks_per_node=4,
                       device_buffers=True)
-        scaled = ScaledComm(8, SLINGSHOT_11, ranks_per_node=4,
-                            device_buffers=True,
-                            partition=all_live_partition(8))
+        scaled = SimComm(8, SLINGSHOT_11, ranks_per_node=4,
+                         device_buffers=True,
+                         partition=all_live_partition(8))
         app_a, stats_a, comm_a = _fault_campaign(sim, policy=policy)
         app_b, stats_b, comm_b = _fault_campaign(scaled, policy=policy)
         assert stats_a.recoveries > 0  # the campaign actually saw faults
@@ -185,7 +229,7 @@ class TestWeightedShrinkPlans:
         scaled16.fail_rank(5)
         sub = scaled16.shrink()
         pair_of = sub.proxy_live_indices()
-        plan = plan_shrink(4096, sub.parent_machine_ranks, 16,
+        plan = plan_shrink(4096, sub.parent_ranks, 16,
                            bytes_per_item=64.0, pair_of=pair_of)
         assert plan.new_nranks == 15  # machine-exact
         assert plan.pair_ranks == sub.nranks  # exemplar-folded matrix
@@ -196,7 +240,7 @@ class TestWeightedShrinkPlans:
     def test_plan_comm_mismatch_rejected(self, scaled16):
         scaled16.fail_rank(5)
         sub = scaled16.shrink()
-        dense = plan_shrink(4096, sub.parent_machine_ranks, 16)
+        dense = plan_shrink(4096, sub.parent_ranks, 16)
         with pytest.raises(DecompositionError, match="proxy_live_indices"):
             redistribute(sub, dense)  # dense 15x15 matrix, 3-exemplar comm
 
@@ -246,8 +290,7 @@ class TestServiceAtScale:
 
         small = _campaign_comm(SCALED_COMM_MIN_NODES - 1, SLINGSHOT_11)
         big = _campaign_comm(4096, SLINGSHOT_11)
-        assert not isinstance(small, ScaledComm)
-        assert isinstance(big, ScaledComm)
+        assert small.nranks == small.machine_ranks
         assert big.machine_ranks == 4096
         assert big.nranks < 64  # exemplars only
 

@@ -55,11 +55,10 @@ class TestDifferential:
     """Exemplar-vs-full at live-feasible sizes: the tentpole's contract."""
 
     @pytest.mark.parametrize("app", sorted(WORKLOADS))
-    def test_bit_identity_and_tolerance(self, app):
+    def test_exemplar_within_tolerance(self, app):
         points = validate_exemplar_vs_full(WORKLOADS[app](),
                                            node_counts=(1, 2, 8), steps=2)
         check_validation(points)
-        assert all(p.bit_identical for p in points)
         assert all(p.rel_error <= 1e-9 for p in points)
 
     def test_check_raises_on_divergence(self):
@@ -74,7 +73,8 @@ class TestDifferential:
         points = validate_exemplar_vs_full(CometWeakScaling(),
                                            node_counts=(1,), steps=1)
         text = render_validation(points)
-        assert "Bit-id" in text and "comet" in text
+        assert "Rel err" in text and "comet" in text
+        assert "R=P" not in text
 
 
 class TestCurves:
