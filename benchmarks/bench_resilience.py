@@ -12,21 +12,16 @@ Measures, on the real reproduction code (wall clock, not models):
 * a fault matrix: every FaultKind crossed with every RecoveryPolicy on
   a tiny HACC campaign, each cell required to finish bit-identical.
 
-Results merge into ``BENCH_repro_speed.json`` (existing keys are
-preserved).  Run directly::
+Run directly::
 
     PYTHONPATH=src python benchmarks/bench_resilience.py
 
 or through pytest (``python -m pytest benchmarks/bench_resilience.py``).
-``--quick`` is the CI smoke: the same four stages at reduced sizes with
-the same correctness contracts asserted, and no JSON write.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -51,10 +46,8 @@ from repro.similarity.gemmtally import gemm_tally_kernel_spec
 
 ABFT_INFLATION_GATE = 0.10  # checksum work may not cost >10% kernel time
 
-_RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_repro_speed.json"
 
-
-def checkpoint_latency(*, ncells: int = 32, repeats: int = 20) -> dict:
+def checkpoint_latency(*, ncells: int = 8, repeats: int = 3) -> dict:
     """Real wall-clock cost of snapshot/encode and decode/restore for the
     Figure 2 campaign state (the recovery-path critical section)."""
     app = PeleChemistryCampaign(ncells=ncells, seed=0)
@@ -80,7 +73,7 @@ def checkpoint_latency(*, ncells: int = 32, repeats: int = 20) -> dict:
     }
 
 
-def campaign_overhead(*, nsteps: int = 60, mtbf: float = 40.0,
+def campaign_overhead(*, nsteps: int = 30, mtbf: float = 40.0,
                       seed: int = 43) -> dict:
     """Simulated overhead fraction of a fault-injected Pele campaign at
     the Young/Daly interval, vs. the failure-free run of the same job."""
@@ -155,7 +148,7 @@ def abft_overhead() -> dict:
     }
 
 
-def fault_matrix(*, nsteps: int = 16) -> dict:
+def fault_matrix(*, nsteps: int = 8) -> dict:
     """Every FaultKind × every RecoveryPolicy on one tiny HACC campaign.
 
     Fatal-fault cells must end bit-identical to the failure-free run
@@ -199,26 +192,9 @@ def fault_matrix(*, nsteps: int = 16) -> dict:
     return cells
 
 
-def run_all(*, write: bool = True) -> dict:
-    report = {
-        "resilience_checkpoint_latency": checkpoint_latency(),
-        "resilience_campaign_overhead": campaign_overhead(),
-        "resilience_abft_overhead": abft_overhead(),
-        "resilience_fault_matrix": fault_matrix(),
-    }
-    if write:
-        merged = {}
-        if _RESULT_PATH.exists():
-            merged = json.loads(_RESULT_PATH.read_text())
-        merged.update(report)
-        _RESULT_PATH.write_text(json.dumps(merged, indent=2) + "\n")
-    return report
-
-
 def test_bench_resilience():
-    report = run_all()
-    lat = report["resilience_checkpoint_latency"]
-    camp = report["resilience_campaign_overhead"]
+    lat = checkpoint_latency()
+    camp = campaign_overhead()
     print(f"\ncheckpoint ({lat['snapshot_bytes']} B): snapshot "
           f"{lat['t_snapshot']*1e6:.0f} us, restore {lat['t_restore']*1e6:.0f} us")
     print(f"campaign: ckpt every {camp['checkpoint_interval']} steps, "
@@ -233,7 +209,7 @@ def test_bench_resilience():
     assert camp["checkpoint_overhead_fraction"] < camp["faulty_overhead_fraction"]
     assert camp["wall_clock_inflation"] >= 1.0
 
-    ab = report["resilience_abft_overhead"]
+    ab = abft_overhead()
     print(f"abft inflation on {ab['device']}: "
           f"batched LU {ab['batched_lu']['inflation']:.2%}, "
           f"count GEMM {ab['gemm_tally']['inflation']:.2%} "
@@ -243,7 +219,7 @@ def test_bench_resilience():
             f"ABFT inflates {carrier} simulated time by "
             f"{ab[carrier]['inflation']:.1%} (gate {ABFT_INFLATION_GATE:.0%})")
 
-    matrix = report["resilience_fault_matrix"]
+    matrix = fault_matrix()
     fired = sum(c["events_fired"] for c in matrix.values())
     print(f"fault matrix: {len(matrix)} kind x policy cells, "
           f"{fired} events fired")
@@ -255,42 +231,5 @@ def test_bench_resilience():
         assert result["bit_identical"], f"{cell} diverged: {result}"
 
 
-def run_quick() -> dict:
-    """CI smoke: every stage at reduced size, contracts still asserted,
-    recorded bands untouched (no JSON write)."""
-    report = {
-        "resilience_checkpoint_latency": checkpoint_latency(ncells=8,
-                                                            repeats=3),
-        "resilience_campaign_overhead": campaign_overhead(nsteps=30),
-        "resilience_abft_overhead": abft_overhead(),
-        "resilience_fault_matrix": fault_matrix(nsteps=8),
-    }
-    lat = report["resilience_checkpoint_latency"]
-    camp = report["resilience_campaign_overhead"]
-    assert lat["round_trip_exact"]
-    assert camp["bit_identical"]
-    assert camp["recoveries"] >= 1
-    assert camp["checkpoint_overhead_fraction"] < camp["faulty_overhead_fraction"]
-    ab = report["resilience_abft_overhead"]
-    for carrier in ("batched_lu", "gemm_tally"):
-        assert 0.0 <= ab[carrier]["inflation"] < ABFT_INFLATION_GATE
-    fired = sum(c["events_fired"] for c in report["resilience_fault_matrix"].values())
-    assert fired > 0, "fault matrix fired no events at all"
-    print(f"quick: snapshot {lat['t_snapshot']*1e6:.0f} us, "
-          f"{camp['recoveries']} recoveries, "
-          f"overhead {camp['faulty_overhead_fraction']:.1%}, "
-          f"{fired} fault events")
-    return report
-
-
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="CI smoke at reduced sizes; no JSON write")
-    if parser.parse_args().quick:
-        run_quick()
-    else:
-        out = run_all()
-        print(json.dumps(out, indent=2))
+    test_bench_resilience()

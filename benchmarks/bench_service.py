@@ -7,33 +7,22 @@ Summit-like and Frontier-like pools, recording
 
 * **sustained jobs/sec** and **p50/p99 queue-wait** on the *simulated*
   clock (the service's SLOs — machine-independent, bit-reproducible);
-* **wall-clock runtime** of each soak (``t_soak``/``t_quick``), the
-  host-dependent numbers the :class:`BenchRegressionGate` bands.
+* **wall-clock runtime** of each soak, printed for reference; the
+  ``service_soak`` perfbench workload measures it with repeats.
 
 Every soak also asserts the acceptance contract: each completed
 campaign's final state is bit-identical to stepping the same app with no
 service, no faults and no runner at all (the PR 4 recovery invariant
-composed with the service's seeding discipline).
-
-The full run writes a ``service_throughput`` block into
-``BENCH_repro_speed.json`` (merging, never clobbering, other benches'
-keys)::
+composed with the service's seeding discipline).  Run directly or
+through pytest::
 
     PYTHONPATH=src python benchmarks/bench_service.py
-
-``--quick`` is the CI smoke: one small pool, 60 jobs, no JSON write,
-gated against the recorded ``t_quick`` band.  Also runs through pytest
-(``python -m pytest benchmarks/bench_service.py``), which is how the CI
-service job invokes it.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
-from repro.observability import BenchRegressionGate, Tracer
 from repro.resilience.faults import FaultKind
 from repro.resilience.runner import CheckpointCostModel
 from repro.service import (
@@ -43,8 +32,6 @@ from repro.service import (
     build_pool,
     failure_free_checksum,
 )
-
-_RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_repro_speed.json"
 
 #: fault environment scaled to the job mix (sub-second campaigns):
 #: every soak sees real recoveries, spare draws and requeues.
@@ -63,17 +50,10 @@ POOLS = {
     "frontier-like": dict(machine="frontier", nodes=64, spares=4, rate=160.0),
 }
 
-GATED_SPANS = {
-    "bench.service_soak": ("service_throughput", "t_soak"),
-}
-QUICK_SPAN = {
-    "bench.service_quick": ("service_throughput", "t_quick"),
-}
-
 
 def run_soak(machine: str, *, nodes: int, spares: int, rate: float,
              njobs: int = 500, seed: int = 2023) -> dict:
-    """One seeded soak; returns the SLO record for the JSON block."""
+    """One seeded soak; returns its SLO record."""
     pool = build_pool(machine, nodes=nodes, spares=spares)
     arrivals = OpenLoopArrivals(rate=rate, tenants=TENANTS, seed=seed)
     jobs = arrivals.draw(njobs)
@@ -115,12 +95,6 @@ def run_soak(machine: str, *, nodes: int, spares: int, rate: float,
     }
 
 
-def quick_soak() -> dict:
-    """The CI smoke configuration: small pool, 60 jobs, still faulted."""
-    return run_soak("summit", nodes=16, spares=2, rate=40.0, njobs=60,
-                    seed=2023)
-
-
 def _print_record(name: str, rec: dict) -> None:
     print(f"{name} ({rec['machine']}, {rec['nodes']}n+{rec['spares']}sp, "
           f"rate {rec['rate']:.0f}/s): "
@@ -134,66 +108,10 @@ def _print_record(name: str, rec: dict) -> None:
           f"[{rec['t_wall']:.1f} s wall]")
 
 
-def run_all(write: bool = True) -> dict:
-    pools = {}
-    t_soak = 0.0
+def test_bench_service():
     for name, cfg in POOLS.items():
-        rec = run_soak(cfg["machine"], nodes=cfg["nodes"],
-                       spares=cfg["spares"], rate=cfg["rate"])
-        _print_record(name, rec)
-        pools[name] = rec
-        t_soak += rec["t_wall"]
-    quick = quick_soak()
-    _print_record("quick", quick)
-    block = {
-        "service_throughput": {
-            "pools": pools,
-            "quick": quick,
-            "t_soak": t_soak,
-            "t_quick": quick["t_wall"],
-        }
-    }
-    if write:
-        merged = {}
-        if _RESULT_PATH.exists():
-            merged = json.loads(_RESULT_PATH.read_text())
-        merged.update(block)
-        _RESULT_PATH.write_text(json.dumps(merged, indent=2) + "\n")
-    return block
-
-
-def run_quick_gate(*, slow_factor: float = 8.0, slack: float = 0.5) -> list:
-    """CI smoke: run the quick soak in a wall-clock span and gate it
-    against the recorded ``t_quick`` band (loose — shared runners)."""
-    # warm outside the span (first-import and first-call costs are not
-    # the scheduler's throughput; the recorded band is warm too)
-    run_soak("summit", nodes=8, spares=1, rate=20.0, njobs=10, seed=1)
-    tracer = Tracer(clock=time.perf_counter)
-    with tracer.span("bench.service_quick", cat="bench", pid="bench",
-                     tid="service"):
-        rec = quick_soak()
-    _print_record("quick", rec)
-    gate = BenchRegressionGate(_RESULT_PATH, slow_factor=slow_factor,
-                               slack=slack)
-    checks = gate.check_span_totals(tracer, QUICK_SPAN)
-    for check in checks:
-        print(check.describe())
-    BenchRegressionGate.assert_ok(checks)
-    return checks
-
-
-def test_bench_service_quick_gate():
-    checks = run_quick_gate()
-    assert len(checks) == 1 and all(c.ok for c in checks)
+        _print_record(name, run_soak(**cfg))
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="CI smoke soak + regression gate; no JSON write")
-    if parser.parse_args().quick:
-        run_quick_gate()
-    else:
-        print(json.dumps(run_all(), indent=2))
+    test_bench_service()

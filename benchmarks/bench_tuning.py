@@ -1,42 +1,29 @@
 """Autotuning navigator bench: tuned-vs-default across the fleet.
 
-Runs the full-budget :func:`repro.tuning.run_navigator` pass — ten apps
+Runs the quick-budget :func:`repro.tuning.run_navigator` pass — ten apps
 x {Summit, Frontier} kernel configs, per-machine checkpoint cadence,
-per-machine collective selection — and records the tuned-vs-default
-speedup table as a ``tuning`` block in ``BENCH_repro_speed.json``
-(merging, never clobbering, other benches' keys)::
+per-machine collective selection — asserts the acceptance floor (at
+least 6 of 10 apps improve, tuned checkpoint cadence beats
+checkpoint-every-step) and gates the pass's wall time against
+``T_QUICK_LIMIT``.  Run directly or through pytest::
 
     PYTHONPATH=src python benchmarks/bench_tuning.py
-
-The block carries the ISSUE acceptance evidence: per-cell default/tuned
-times and the chosen knobs, the ``improved_apps`` list (floor: 6 of 10),
-checkpoint overhead default-vs-tuned with the Daly agreement factor, the
-collective selection table, and the wall-clock ``t_full``/``t_quick``
-the :class:`BenchRegressionGate` bands.
-
-``--quick`` is the CI smoke: the quick-budget pass in a wall-clock span
-gated against the recorded ``t_quick`` band, no JSON write, the
-improved-apps floor still asserted.  Also runs through pytest
-(``python -m pytest benchmarks/bench_tuning.py``).
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
-from repro.observability import BenchRegressionGate, Tracer
 from repro.tuning import TuningBudget, TuningReport, run_navigator
 
-_RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_repro_speed.json"
-
 SEED = 0
-IMPROVED_APPS_FLOOR = 6  # ISSUE acceptance: >= 6 of 10 apps improve
+IMPROVED_APPS_FLOOR = 6  # acceptance: >= 6 of 10 apps improve
 
-QUICK_SPAN = {
-    "bench.tuning_quick": ("tuning", "t_quick"),
-}
+#: warm wall time of the quick pass on the 2-vCPU reference box (s).
+#: The navigator has no perfbench workload, so this is the one absolute
+#: wall bound left among the benches: 8x the recording plus 0.5 s slack.
+T_QUICK_RECORDED = 0.750
+T_QUICK_LIMIT = 8 * T_QUICK_RECORDED + 0.5
 
 
 def _assert_acceptance(report: TuningReport) -> None:
@@ -50,68 +37,23 @@ def _assert_acceptance(report: TuningReport) -> None:
             f"checkpoint-every-step")
 
 
-def run_full(*, write: bool = True) -> dict:
-    t0 = time.perf_counter()
-    report = run_navigator(seed=SEED, budget=TuningBudget())
-    t_full = time.perf_counter() - t0
-    _assert_acceptance(report)
-
-    t0 = time.perf_counter()
-    quick = run_navigator(seed=SEED, budget=TuningBudget.quick())
-    t_quick = time.perf_counter() - t0
-    _assert_acceptance(quick)
-
-    print(report.render())
-    print(f"\nfull pass {t_full:.1f} s wall, quick pass {t_quick:.1f} s wall")
-
-    block = {"tuning": dict(report.to_dict(),
-                            improved_apps=report.improved_apps(),
-                            t_full=t_full, t_quick=t_quick)}
-    if write:
-        merged = {}
-        if _RESULT_PATH.exists():
-            merged = json.loads(_RESULT_PATH.read_text())
-        merged.update(block)
-        _RESULT_PATH.write_text(json.dumps(merged, indent=2) + "\n")
-    return block
-
-
-def run_quick_gate(*, slow_factor: float = 8.0, slack: float = 0.5) -> list:
-    """CI smoke: quick pass in a wall-clock span, gated against the
-    recorded ``t_quick`` band (loose — shared runners)."""
-    # warm outside the span: first-import costs are not the tuner's speed
+def test_bench_tuning():
+    # warm outside the timed region: first-import costs are not the tuner's
     run_navigator(seed=SEED, budget=TuningBudget.quick(),
                   machines=(), apps=())
-    tracer = Tracer(clock=time.perf_counter)
-    with tracer.span("bench.tuning_quick", cat="bench", pid="bench",
-                     tid="tuning"):
-        report = run_navigator(seed=SEED, budget=TuningBudget.quick())
+    t0 = time.perf_counter()
+    report = run_navigator(seed=SEED, budget=TuningBudget.quick())
+    t_quick = time.perf_counter() - t0
     _assert_acceptance(report)
     print(f"quick: {len(report.improved_apps())}/10 apps improved, "
           f"{len(report.collectives)} collective cells, "
           f"checkpoint intervals "
-          f"{[c.tuned_interval_steps for c in report.checkpoint]}")
-    gate = BenchRegressionGate(_RESULT_PATH, slow_factor=slow_factor,
-                               slack=slack)
-    checks = gate.check_span_totals(tracer, QUICK_SPAN)
-    for check in checks:
-        print(check.describe())
-    BenchRegressionGate.assert_ok(checks)
-    return checks
-
-
-def test_bench_tuning_quick_gate():
-    checks = run_quick_gate()
-    assert len(checks) == 1 and all(c.ok for c in checks)
+          f"{[c.tuned_interval_steps for c in report.checkpoint]}, "
+          f"{t_quick:.2f} s wall (limit {T_QUICK_LIMIT:.2f} s)")
+    assert t_quick <= T_QUICK_LIMIT, (
+        f"quick navigator pass took {t_quick:.2f} s "
+        f"(limit {T_QUICK_LIMIT:.2f} s)")
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="CI smoke pass + regression gate; no JSON write")
-    if parser.parse_args().quick:
-        run_quick_gate()
-    else:
-        print(json.dumps(run_full(), indent=2))
+    test_bench_tuning()

@@ -44,7 +44,7 @@ from repro.mpisim import (
 #: 9,074 nodes of the CoMet run (§3.6).
 DEFAULT_NODE_COUNTS: tuple[int, ...] = (8, 16, 32, 64, 128, 256, 512, 1024,
                                         4096, 9074)
-#: 3-point smoke sweeps for the CI `--quick` mode.
+#: 3-point smoke sweeps (the scaling bench and tests).
 QUICK_WEAK_NODE_COUNTS: tuple[int, ...] = (8, 1024, 9074)
 QUICK_STRONG_NODE_COUNTS: tuple[int, ...] = (8, 512, 2048)
 

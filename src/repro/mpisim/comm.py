@@ -318,7 +318,8 @@ class SimComm:
         consistent view of who died (machine numbering).  ``values`` is
         indexed by live rank; dead ranks' entries are ignored, and the
         value is ``None`` when only modelled ranks survive.  Costs an
-        allreduce over the ``machine_alive_count`` survivors.
+        allreduce over the ``machine_alive_count`` survivors; it starts
+        at the latest survivor clock and every survivor leaves at its end.
         """
         alive_machine = self.machine_alive_count
         if alive_machine == 0:
@@ -329,11 +330,13 @@ class SimComm:
             raise CommError(f"expected {self.nranks} per-rank values, "
                             f"got {len(values)}")
         alive = self.alive_ranks()
+        # a modelled survivor reads its proxy's clock, dead or alive: the
+        # clocks that vote are the live survivors' and those of dead
+        # exemplars that still have surviving mirrors
+        voters = ~self.failed | (self.rank_weights > 1)
         t = cm.allreduce_time(alive_machine, nbytes, self._collective_link())
-        # with every exemplar dead the consensus starts at the latest clock
-        start = self._collective("agree", t, alive_machine, nbytes,
-                                 alive or slice(None))
-        self.clocks[alive] = start + t
+        start = self._collective("agree", t, alive_machine, nbytes, voters)
+        self.clocks[voters] = start + t
         weights = self.rank_weights[alive].tolist() if op is np.add else None
         acc = self._fold([values[i] for i in alive], op, weights)
         return acc, tuple(self.failed_ranks())
@@ -345,7 +348,8 @@ class SimComm:
         preserved: if rank 0 died, old rank 1 becomes new rank 0) and
         carry their clocks over, synchronized to the shrink consensus
         (one ``agree``).  A group whose representatives all died
-        promotes its first surviving member at its dead proxy's clock.
+        promotes its first surviving member, which starts at the end of
+        that consensus like every other survivor.
         ``parent_ranks[new_rank]`` maps back to this communicator's
         machine numbering.
         """

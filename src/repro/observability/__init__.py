@@ -1,11 +1,10 @@
-"""Unified observability: spans, metrics, Perfetto export, regression gate.
+"""Unified observability: spans, metrics, Perfetto export.
 
 The cross-cutting tracing/metrics substrate the paper's porting teams
 had and the reproduction lacked: nested spans on simulated clocks
 (:mod:`.tracer`), counters/gauges/histograms (:mod:`.metrics`), one
 merged Chrome-trace/Perfetto JSON unifying subsystem spans with GPU
-launch records (:mod:`.export`), and a CI gate comparing measured span
-totals against the recorded speedup bands (:mod:`.gate`).
+launch records (:mod:`.export`).
 
 Instrumented substrates (``SimComm``, ``ResilientRunner``,
 ``BatchedBdfIntegrator``, the GEMM-tally engine, the experiment
@@ -25,11 +24,6 @@ from repro.observability.export import (
     summarize_spans,
     validate_chrome_trace,
 )
-from repro.observability.gate import (
-    BenchRegressionError,
-    BenchRegressionGate,
-    GateCheck,
-)
 from repro.observability.metrics import (
     Counter,
     Gauge,
@@ -47,11 +41,8 @@ from repro.observability.tracer import (
 )
 
 __all__ = [
-    "BenchRegressionError",
-    "BenchRegressionGate",
     "Counter",
     "Gauge",
-    "GateCheck",
     "Histogram",
     "Instant",
     "MetricsError",

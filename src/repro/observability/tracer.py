@@ -11,9 +11,8 @@ Design rules, enforced by the property suite and the determinism audit:
   :class:`~repro.mpisim.comm.SimComm` clock, a runner's ``t_sim``, a
   device clock) or drawn from the tracer's deterministic tick counter —
   so two runs of the same seeded workload produce byte-identical traces.
-  (Benchmarks may pass ``clock=time.perf_counter`` explicitly to build
-  *wall-clock* traces for the regression gate; the import never lives in
-  this package.)
+  (A benchmark may pass ``clock=time.perf_counter`` explicitly to build
+  a *wall-clock* trace; the import never lives in this package.)
 * **Lanes.**  Each span lives on a ``(pid, tid)`` lane — process/thread
   rows in the Perfetto UI (ranks, devices, subsystems).  Nesting is
   per-lane and LIFO: ``begin``/``end`` maintain a stack, and a span's
@@ -77,7 +76,7 @@ class Tracer:
     is a deterministic tick counter (+1 per event), which keeps ordinal
     timelines (solver rounds, pipeline phases) reproducible.  Pass an
     explicit callable (e.g. ``time.perf_counter`` from a benchmark) only
-    for wall-clock traces feeding the regression gate.
+    for wall-clock traces.
     """
 
     is_enabled = True

@@ -130,7 +130,7 @@ class TestIntext:
 
     def test_scaled_claims_present(self):
         descs = [c.description for c in ALL_CLAIMS]
-        assert sum("ScaledComm" in d for d in descs) == 3
+        assert sum("on representative ranks" in d for d in descs) == 3
 
     def test_render(self, result):
         text = result.render()

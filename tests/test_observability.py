@@ -1,6 +1,6 @@
 """Property-tested invariants of the unified observability layer.
 
-The tracer/metrics/export/gate stack only earns its keep if its
+The tracer/metrics/export stack only earns its keep if its
 guarantees are mechanical: spans nest, durations are non-negative,
 counters are monotone, histograms conserve observations, the exported
 Chrome-trace JSON honours the viewer contract, and — the load-bearing
@@ -19,8 +19,6 @@ from repro.gpu.device import Device
 from repro.hardware.catalog import FRONTIER
 from repro.observability import (
     NULL_TRACER,
-    BenchRegressionError,
-    BenchRegressionGate,
     Histogram,
     MetricsError,
     MetricsRegistry,
@@ -292,59 +290,6 @@ class TestExport:
         assert "hot" in report and "cold" in report
         mreport = metrics_report(tr.metrics)
         assert "counter" in mreport and "histogram" in mreport
-
-
-# -- regression gate --------------------------------------------------------
-
-
-class TestBenchRegressionGate:
-    BENCH = {"stage": {"t_batched": 0.05}, "note": "text"}
-
-    def test_within_band_passes(self):
-        gate = BenchRegressionGate(self.BENCH, slow_factor=4.0, slack=0.1)
-        check = gate.check("stage", 0.2, ("stage", "t_batched"))
-        assert check.ok
-        assert "ok" in check.describe()
-        BenchRegressionGate.assert_ok([check])
-
-    def test_regression_and_missing_fail(self):
-        gate = BenchRegressionGate(self.BENCH, slow_factor=2.0, slack=0.0)
-        slow = gate.check("stage", 1.0, ("stage", "t_batched"))
-        missing = gate.check("stage", None, ("stage", "t_batched"))
-        assert not slow.ok and not missing.ok
-        assert "REGRESSION" in slow.describe()
-        assert "MISSING" in missing.describe()
-        with pytest.raises(BenchRegressionError, match="REGRESSION"):
-            BenchRegressionGate.assert_ok([slow])
-
-    def test_reference_key_errors(self):
-        gate = BenchRegressionGate(self.BENCH)
-        with pytest.raises(KeyError):
-            gate.reference(("stage", "nope"))
-        with pytest.raises(KeyError):
-            gate.reference(("note",))
-
-    def test_check_span_totals_reads_wall_clock_spans(self):
-        ticks = iter([0.0, 0.1])
-        tr = Tracer(clock=lambda: next(ticks))
-        with tr.span("stage"):
-            pass
-        gate = BenchRegressionGate(self.BENCH, slow_factor=6.0, slack=0.05)
-        checks = gate.check_span_totals(
-            tr, {"stage": ("stage", "t_batched"),
-                 "absent": ("stage", "t_batched")})
-        by_name = {c.name: c for c in checks}
-        assert by_name["stage"].ok
-        assert by_name["stage"].measured == pytest.approx(0.1)
-        assert not by_name["absent"].ok
-
-    def test_recorded_bench_file_is_gateable(self):
-        from pathlib import Path
-
-        bench = Path(__file__).resolve().parent.parent / "BENCH_repro_speed.json"
-        gate = BenchRegressionGate(bench)
-        ref = gate.reference(("comet_ccc", "t_gemm_tally"))
-        assert ref > 0
 
 
 # -- acceptance: one merged trace across the whole stack --------------------

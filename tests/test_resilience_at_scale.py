@@ -22,6 +22,7 @@ from repro.mpisim import (
     SimComm,
     all_live_partition,
 )
+from repro.mpisim.costmodel import allreduce_time
 from repro.mpisim.decomposition import DecompositionError
 from repro.mpisim.partition import _partition_for_shape
 from repro.resilience import (
@@ -139,8 +140,10 @@ class TestAllExemplarsDead:
         assert sub.parent_ranks == tuple(range(2, 15))
         assert sub.representatives == (0,)  # old rank 2, promoted
         assert sub.rank_weights.tolist() == [13]
-        # the promotee starts at its dead proxy's (rank 1's) clock
-        assert sub.clocks.tolist() == [2.0]
+        # the consensus starts at the survivors' clock (their dead
+        # proxy's, rank 1's) and the promotee starts at its end
+        link = scaled16.topology.internode_link(device_buffers=True)
+        assert sub.clocks.tolist() == [2.0 + allreduce_time(13, 8.0, link)]
 
     def test_agree_priced_at_machine_survivors(self, scaled16):
         for rank in scaled16.representatives:

@@ -1,6 +1,5 @@
 """Tests for the full-machine scaling experiments (repro.experiments.scaling)."""
 
-import numpy as np
 import pytest
 
 from repro.experiments.scaling import (
@@ -147,7 +146,7 @@ class TestFullMachineClaims:
     def test_claims_registered_in_intext(self):
         from repro.experiments.intext import ALL_CLAIMS
 
-        scaled = [c for c in ALL_CLAIMS if "ScaledComm" in c.description]
+        scaled = [c for c in ALL_CLAIMS if "on representative ranks" in c.description]
         assert len(scaled) == 3
         for claim in scaled:
             assert claim.evaluate().ok
