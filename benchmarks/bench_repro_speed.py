@@ -48,36 +48,39 @@ def _timed(fn: Callable[[], np.ndarray]) -> tuple[float, np.ndarray]:
     return time.perf_counter() - t0, out
 
 
-def _reacting_flow(batched: bool, *, n: int = 128, steps: int = 5) -> Timed:
+def _reacting_flow(batched: bool) -> Timed:
+    """Five coupled steps on 128 cells with a hot central half."""
     def run() -> tuple[float, np.ndarray]:
-        hydro = Euler1D.sod(n)
+        hydro = Euler1D.sod(128)
         hydro.rho[:] = 1.0
         hydro.mom[:] = 0.0
         hydro.ener[:] = 2.0
-        hydro.ener[n // 2 - n // 4:n // 2 + n // 4] = 6.0
+        hydro.ener[32:96] = 6.0
         flow = ReactingFlow1D(hydro=hydro, use_batched_chemistry=batched)
         flow.concentrations[0, :] = 1.0  # H2
         flow.concentrations[1, :] = 0.5  # O2
 
         def advance() -> np.ndarray:
-            for _ in range(steps):
+            for _ in range(5):
                 flow.step()
             return flow.concentrations
         return _timed(advance)
     return run
 
 
-def _comet_ccc(popcount: bool, *, n: int = 48, m: int = 96) -> Timed:
-    data = random_allele_data(n, m, seed=0)
+def _comet_ccc(popcount: bool) -> Timed:
+    """2-way tallies of 48 vectors over 96 fields."""
+    data = random_allele_data(48, 96, seed=0)
     if popcount:
         return lambda: _timed(lambda: tally_2way(data, method="popcount"))
     return lambda: _timed(lambda: cooccurrence_counts_bruteforce(data))
 
 
-def _pm_pairwise(vectorized: bool, *, n: int = 400) -> Timed:
+def _pm_pairwise(vectorized: bool) -> Timed:
+    """Short-range forces among 400 particles in the unit box."""
     rng = np.random.default_rng(0)
-    x = rng.uniform(0.0, 1.0, (n, 3))
-    masses = rng.uniform(0.5, 2.0, n)
+    x = rng.uniform(0.0, 1.0, (400, 3))
+    masses = rng.uniform(0.5, 2.0, 400)
     return lambda: _timed(lambda: short_range_forces(
         x, masses, 1.0, rs=0.08, vectorized=vectorized))
 
@@ -90,12 +93,11 @@ CASES: dict[str, tuple[Timed, Timed, float, float]] = {
 }
 
 
-def same_run_speedup(slow: Timed, fast: Timed, *,
-                     repeats: int = REPEATS) -> dict:
-    """Median, range and worst output deviation of *repeats* interleaved
+def same_run_speedup(slow: Timed, fast: Timed) -> dict:
+    """Median, range and worst output deviation of ``REPEATS`` interleaved
     slow/fast pairs."""
     speedups, dev = [], 0.0
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t_slow, ref = slow()
         t_fast, out = fast()
         speedups.append(t_slow / t_fast)

@@ -42,6 +42,8 @@ MTBF = {
 }
 TENANTS = {"astro": 2.0, "chem": 1.0, "climate": 1.0}
 COST = CheckpointCostModel(restart_cost=0.05)
+NJOBS = 500
+SEED = 2023
 
 #: the two qualification pools; arrival rate tuned to ~0.7-0.8 offered
 #: utilization so queues form without the open loop diverging.
@@ -51,14 +53,13 @@ POOLS = {
 }
 
 
-def run_soak(machine: str, *, nodes: int, spares: int, rate: float,
-             njobs: int = 500, seed: int = 2023) -> dict:
-    """One seeded soak; returns its SLO record."""
+def run_soak(machine: str, *, nodes: int, spares: int, rate: float) -> dict:
+    """One seeded soak of ``NJOBS`` jobs; returns its SLO record."""
     pool = build_pool(machine, nodes=nodes, spares=spares)
-    arrivals = OpenLoopArrivals(rate=rate, tenants=TENANTS, seed=seed)
-    jobs = arrivals.draw(njobs)
+    arrivals = OpenLoopArrivals(rate=rate, tenants=TENANTS, seed=SEED)
+    jobs = arrivals.draw(NJOBS)
     service = CampaignService(
-        pool, seed=seed, fault_mtbf=MTBF, cost_model=COST,
+        pool, seed=SEED, fault_mtbf=MTBF, cost_model=COST,
         backoff_base=0.05,  # scaled to the sub-second job mix
         scheduler=EasyBackfillScheduler(borrow_after=1.0),
     )
@@ -78,7 +79,7 @@ def run_soak(machine: str, *, nodes: int, spares: int, rate: float,
         "nodes": nodes,
         "spares": spares,
         "rate": rate,
-        "njobs": njobs,
+        "njobs": NJOBS,
         "completed": slo.completed,
         "failed": slo.failed,
         "requeues": slo.requeues,

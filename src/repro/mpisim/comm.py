@@ -510,8 +510,9 @@ class SimComm:
                     idx: Any = slice(None), total_bytes: float | None = None
                     ) -> float:
         """Account a *p*-rank collective of *nbytes* per rank lasting *t*
-        that starts at the latest clock of live ranks *idx*; returns the
-        start (callers move the clocks)."""
+        that starts at the latest clock of the ranks *idx* — live ranks,
+        or for :meth:`agree` also the dead exemplars whose clocks proxy
+        surviving mirrors; returns the start (callers move the clocks)."""
         start = float(self.clocks[idx].max())
         self.stats.collectives += 1
         self.stats.collective_bytes += (nbytes * p if total_bytes is None

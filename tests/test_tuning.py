@@ -14,6 +14,7 @@ domains, and the PR's cross-cutting contracts:
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -282,11 +283,17 @@ class TestBenchCiCoverage:
         names the retired single-shot record file — otherwise a bench
         drifts unexercised until someone reruns it by hand."""
         ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        # a step counts when its one-line ``run:`` is exactly the bench
+        # invocation: a commented-out or chained command does not
+        run = re.compile(r"^[ \t]*(?:-[ \t]+)?run:[ \t]*"
+                         r"PYTHONPATH=src python benchmarks/(bench_\w+\.py)"
+                         r"[ \t]*\r?$", re.MULTILINE)
+        in_ci = set(run.findall(ci))
         missing = [
             path.name
             for path in sorted((REPO / "benchmarks").glob("bench_*.py"))
             if '__name__ == "__main__"' in path.read_text()
-            and f"python benchmarks/{path.name}\n" not in ci
+            and path.name not in in_ci
         ]
         assert not missing, f"benches CI never runs: {missing}"
         # spelled in parts so that this file does not name it itself
