@@ -52,12 +52,6 @@ class Box:
             hi=tuple(min(self.hi[d], other.hi[d]) for d in range(3)),
         )
 
-    def contains(self, other: "Box") -> bool:
-        return all(
-            self.lo[d] <= other.lo[d] and other.hi[d] <= self.hi[d]
-            for d in range(3)
-        )
-
     def refine(self, ratio: int) -> "Box":
         """The box in the next-finer index space."""
         if ratio < 1:
@@ -73,12 +67,6 @@ class Box:
         return Box(
             lo=tuple(l // ratio for l in self.lo),
             hi=tuple(h // ratio for h in self.hi),
-        )
-
-    def shift(self, offset: tuple[int, int, int]) -> "Box":
-        return Box(
-            lo=tuple(l + o for l, o in zip(self.lo, offset)),
-            hi=tuple(h + o for h, o in zip(self.hi, offset)),
         )
 
 

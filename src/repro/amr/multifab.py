@@ -121,15 +121,6 @@ class MultiFab:
         self.stats.bytes_moved += moved
         return moved
 
-    def ghost_bytes_per_box(self) -> float:
-        """Mean ghost bytes a box exchanges per fill."""
-        if len(self.ba) == 0:
-            return 0.0
-        total = 0
-        for i, b in enumerate(self.ba):
-            total += (self.fabs[i][..., 0].size - b.ncells) * self.ncomp * 8
-        return total / len(self.ba)
-
     # -- reductions -----------------------------------------------------------------
 
     def norm0(self, comp: int = 0) -> float:
@@ -142,9 +133,3 @@ class MultiFab:
         return float(
             np.sum([self.valid_view(i)[..., comp].sum() for i in range(len(self.ba))])
         )
-
-    def copy_from(self, other: "MultiFab") -> None:
-        if len(other.ba) != len(self.ba) or other.ncomp != self.ncomp:
-            raise ValueError("incompatible MultiFabs")
-        for dst, src in zip(self.fabs, other.fabs):
-            np.copyto(dst, src)

@@ -31,7 +31,6 @@ TABLE2_APPS = {
 }
 
 __all__ = [
-    "cholla",
     "TABLE2_APPS",
     "coast",
     "comet",
@@ -44,4 +43,3 @@ __all__ = [
     "nuccor",
     "pele",
 ]
-from repro.apps import cholla

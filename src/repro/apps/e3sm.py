@@ -19,7 +19,7 @@ from repro.cloud.crm import (
     optimize_ensemble,
     realtime_throughput,
 )
-from repro.hardware.catalog import FRONTIER, SUMMIT
+from repro.hardware.catalog import FRONTIER
 from repro.hardware.gpu import GPUSpec
 
 
@@ -56,20 +56,6 @@ def run(device: GPUSpec, cfg: E3smConfig = E3smConfig(), *,
         step=step,
         throughput=realtime_throughput(step.total, dt_model_seconds=cfg.dt_model_seconds),
     )
-
-
-def run_summit(cfg: E3smConfig = E3smConfig()) -> float:
-    """Optimized per-step time on one Summit V100."""
-    return run(SUMMIT.node.gpu, cfg).step.total
-
-
-def run_frontier(cfg: E3smConfig = E3smConfig()) -> float:
-    return run(FRONTIER.node.gpu, cfg).step.total
-
-
-def speedup(cfg: E3smConfig = E3smConfig()) -> float:
-    """Per-GPU step-time ratio (not a Table 2 row; reported for context)."""
-    return run_summit(cfg) / run_frontier(cfg)
 
 
 def optimization_gain(cfg: E3smConfig = E3smConfig()) -> float:

@@ -176,15 +176,6 @@ def analytic_jacobian_batch(mech: Mechanism, T, conc: np.ndarray) -> np.ndarray:
     return jac
 
 
-def chemistry_rhs_batch(mech: Mechanism, T):
-    """A batched ODE right-hand side over all cells of a field at once."""
-
-    def rhs(t, conc: np.ndarray) -> np.ndarray:
-        return production_rates_batch(mech, T, np.maximum(conc, 0.0))
-
-    return rhs
-
-
 def rates_flop_count(mech: Mechanism) -> float:
     """FLOPs of one production-rate evaluation (exp + powers + updates)."""
     flops = 0.0

@@ -36,14 +36,6 @@ class FragmentOrbitals:
     def nocc(self) -> int:
         return self.b_tensor.shape[1]
 
-    @property
-    def nvirt(self) -> int:
-        return self.b_tensor.shape[2]
-
-    @property
-    def naux(self) -> int:
-        return self.b_tensor.shape[0]
-
 
 def make_fragment(nocc: int, nvirt: int, naux: int, *, seed: int = 0) -> FragmentOrbitals:
     """Generate a well-conditioned synthetic fragment.

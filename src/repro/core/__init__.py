@@ -37,11 +37,6 @@ __all__ = [
     "fit_amdahl",
     "amdahl_speedup",
     "AmdahlFit",
-    "topics_by_area",
-    "generate_quick_start_guide",
-    "TrainingTopic",
-    "TopicArea",
-    "TRAINING_CATALOG",
     "AccelerationPlan",
     "ApplicationRecord",
     "ApplicationRegistry",
@@ -73,13 +68,6 @@ __all__ = [
     "seed_paper_lessons",
     "within_band",
 ]
-from repro.core.training import (
-    TRAINING_CATALOG,
-    TopicArea,
-    TrainingTopic,
-    generate_quick_start_guide,
-    topics_by_area,
-)
 from repro.core.scaling import (
     AmdahlFit,
     amdahl_speedup,

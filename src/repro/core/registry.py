@@ -45,9 +45,6 @@ class ApplicationRegistry:
     def __len__(self) -> int:
         return len(self._apps)
 
-    def __iter__(self):
-        return iter(self._apps.values())
-
     def applications_for_motif(self, motif: PortingMotif) -> list[str]:
         """One row of Table 1."""
         return [a.name for a in self._apps.values() if motif in a.motifs]

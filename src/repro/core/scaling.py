@@ -46,9 +46,6 @@ class AmdahlFit:
     serial_fraction: float
     rms_error: float
 
-    def predict(self, p: int) -> float:
-        return amdahl_speedup(p, self.serial_fraction)
-
 
 def fit_amdahl(workers: list[int], speedups: list[float]) -> AmdahlFit:
     """Least-squares fit of the serial fraction to measured speed-ups.

@@ -2,7 +2,6 @@
 
 from repro.experiments.earlyaccess import (
     GenerationReport,
-    ScalingPoint,
     prediction_improves_with_generation,
     run_ladder,
     spock_scaling_study,
@@ -23,7 +22,6 @@ from repro.experiments.resilience_at_scale import (
     run_daly_sweep,
     run_overhead_curve,
 )
-from repro.experiments.runner import full_report, run_all
 from repro.experiments.scaling import (
     CometWeakScaling,
     GamessStrongScaling,
@@ -39,14 +37,12 @@ from repro.experiments.scaling import (
 )
 from repro.experiments.table1 import Table1Result, run_table1
 from repro.experiments.table2 import Table2Result, run_table2
-from repro.experiments.tuning import render_tuning, run_tuning
 
 __all__ = [
     "build_dashboard",
     "DashboardRow",
     "Dashboard",
     "GenerationReport",
-    "ScalingPoint",
     "prediction_improves_with_generation",
     "run_ladder",
     "spock_scaling_study",
@@ -69,8 +65,6 @@ __all__ = [
     "Table2Result",
     "ValidationPoint",
     "check_validation",
-    "full_report",
-    "run_all",
     "strong_scaling_curve",
     "validate_exemplar_vs_full",
     "weak_scaling_curve",
@@ -79,8 +73,6 @@ __all__ = [
     "run_figure2",
     "run_figure2_measured",
     "run_intext",
-    "render_tuning",
-    "run_tuning",
     "run_overhead_curve",
     "run_table1",
     "run_table2",

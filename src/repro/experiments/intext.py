@@ -220,10 +220,6 @@ ALL_CLAIMS: tuple[Claim, ...] = (
 class IntextResult:
     results: tuple[ClaimResult, ...]
 
-    @property
-    def all_ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
     def render(self) -> str:
         return render_table(
             ("Section", "Claim", "Paper", "Measured", "Verdict"),

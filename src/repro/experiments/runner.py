@@ -2,25 +2,15 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.experiments.figure1 import Figure1Result, run_figure1
 from repro.experiments.figure2 import Figure2Result, run_figure2
 from repro.experiments.intext import IntextResult, run_intext
 from repro.experiments.table1 import Table1Result, run_table1
 from repro.experiments.table2 import Table2Result, run_table2
 
-if TYPE_CHECKING:  # pragma: no cover - import only for annotations
-    from repro.observability.tracer import Tracer
 
-
-def run_all(*, tracer: "Tracer | None" = None) -> dict[str, object]:
-    """Execute every experiment; returns results keyed by artifact name.
-
-    With a ``tracer``, each experiment runs inside a campaign-level span
-    on the ``experiments`` lane (ordinal tick timeline), so the merged
-    trace shows where a full reproduction run spends its artifacts.
-    """
+def run_all() -> dict[str, object]:
+    """Execute every experiment; returns results keyed by artifact name."""
     experiments = (
         ("figure1", run_figure1),
         ("table1", run_table1),
@@ -28,16 +18,7 @@ def run_all(*, tracer: "Tracer | None" = None) -> dict[str, object]:
         ("figure2", run_figure2),
         ("intext", run_intext),
     )
-    results: dict[str, object] = {}
-    for name, run in experiments:
-        if tracer is None:
-            results[name] = run()
-        else:
-            with tracer.span(f"experiments.{name}", cat="experiments",
-                             pid="experiments", tid="campaign"):
-                results[name] = run()
-            tracer.metrics.counter("experiments.artifacts").inc()
-    return results
+    return {name: run() for name, run in experiments}
 
 
 def full_report() -> str:

@@ -147,7 +147,3 @@ class Device:
     def elapsed(self) -> float:
         """Wall time so far: host clock after all blocking operations."""
         return self.clock.host_now
-
-    @property
-    def busy_until(self) -> float:
-        return self.clock.device_idle_at

@@ -129,9 +129,6 @@ class DeviceAllocator:
         self.simulated_time += self.alloc_latency
         return allocs
 
-    def live_allocations(self) -> list[Allocation]:
-        return list(self._live.values())
-
     def check_invariants(self) -> None:
         """Assert non-overlap and full accounting (used by property tests)."""
         ranges = sorted(
@@ -198,10 +195,6 @@ class PoolAllocator:
         self.free_calls += 1
         self.simulated_time += self.alloc_latency
         self._blocks[block][1].free(alloc)
-
-    @property
-    def bytes_in_use(self) -> int:
-        return sum(sub.bytes_in_use for _, sub in self._blocks)
 
     @property
     def native_alloc_calls(self) -> int:

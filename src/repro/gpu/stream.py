@@ -102,10 +102,3 @@ class DeviceClock:
         """Block the host until every stream drains."""
         for s in self._streams:
             self.host_now = max(self.host_now, s.ready_at)
-
-    @property
-    def device_idle_at(self) -> float:
-        """Time at which all currently enqueued work completes."""
-        if not self._streams:
-            return self.host_now
-        return max(self.host_now, max(s.ready_at for s in self._streams))

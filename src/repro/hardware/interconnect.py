@@ -41,11 +41,6 @@ class InterconnectSpec:
     gpu_aware: bool = False
     gpu_aware_efficiency: float = 0.9
 
-    @property
-    def node_injection_bandwidth(self) -> float:
-        """Aggregate injection bandwidth of one node in B/s."""
-        return self.bandwidth * self.nics_per_node
-
 
 #: Cray Aries dragonfly — Cori, Theta.
 ARIES = InterconnectSpec(

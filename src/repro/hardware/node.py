@@ -35,18 +35,3 @@ class NodeSpec:
             assert self.gpu is not None
             return self.gpus_per_node * self.gpu.peak(precision, matrix=matrix)
         return self.cpu_sockets * self.cpu.peak(precision)
-
-    @property
-    def node_memory_bandwidth(self) -> float:
-        """Aggregate achievable memory bandwidth in B/s."""
-        if self.has_gpus:
-            assert self.gpu is not None
-            return self.gpus_per_node * self.gpu.effective_bandwidth
-        return self.cpu_sockets * self.cpu.effective_bandwidth
-
-    @property
-    def gpu_memory_capacity(self) -> float:
-        if not self.has_gpus:
-            return 0.0
-        assert self.gpu is not None
-        return self.gpus_per_node * self.gpu.mem_capacity

@@ -129,9 +129,6 @@ class Euler1D:
     def total_mass(self) -> float:
         return float(self.rho.sum() * self.dx)
 
-    def total_energy(self) -> float:
-        return float(self.ener.sum() * self.dx)
-
 
 #: Exact Sod solution plateau states at γ=1.4 (Toro, Table 4.2):
 #: the star-region pressure and the density on each side of the contact.

@@ -109,11 +109,6 @@ class ReactingFlow1D:
         e_int = self.hydro.ener / rho - 0.5 * u * u
         return self.temperature_scale * np.maximum(e_int, 0.0)
 
-    def total_species_moles(self) -> np.ndarray:
-        """Per-species cell-integrated moles (the conservation invariant
-        for advection; chemistry redistributes within columns)."""
-        return self.concentrations.sum(axis=1) * self.hydro.dx
-
     def total_atoms(self) -> float:
         """A conserved 'atom count': H2/H2O/H/OH carry H atoms etc.
 

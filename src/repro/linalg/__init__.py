@@ -15,11 +15,10 @@ from repro.linalg.blas import (
     TunedGemmLibrary,
     batched_gemm_kernel_spec,
     gemm,
-    gemm_bytes,
     gemm_flops,
     gemm_kernel_spec,
 )
-from repro.linalg.fft import fft, fft_flops, fft_kernel_spec, ifft, rfft
+from repro.linalg.fft import fft, fft_flops, fft_kernel_spec, ifft
 from repro.linalg.solver import (
     LUFactorization,
     getrf,
@@ -49,7 +48,6 @@ __all__ = [
     "fft_flops",
     "fft_kernel_spec",
     "gemm",
-    "gemm_bytes",
     "gemm_flops",
     "gemm_kernel_spec",
     "getrf",
@@ -58,7 +56,6 @@ __all__ = [
     "getrs_flops",
     "ifft",
     "invert_first_block_lu",
-    "rfft",
     "solver_kernel_spec",
     "zblock_lu",
     "zblock_lu_flops",

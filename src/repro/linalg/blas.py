@@ -47,11 +47,6 @@ def gemm_flops(m: int, n: int, k: int, *, complex_data: bool = False) -> float:
     return 4.0 * base if complex_data else base
 
 
-def gemm_bytes(m: int, n: int, k: int, itemsize: int) -> float:
-    """Minimum device traffic: read A and B, write C."""
-    return float((m * k + k * n + m * n) * itemsize)
-
-
 def gemm_kernel_spec(
     m: int,
     n: int,

@@ -24,10 +24,6 @@ def ifft(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.fft.ifft(x, axis=axis)
 
 
-def rfft(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    return np.fft.rfft(x, axis=axis)
-
-
 def fft_flops(n: int, batch: int = 1) -> float:
     """FLOPs of *batch* complex length-n transforms: 5 n log2 n each."""
     if n < 1 or batch < 1:

@@ -1,6 +1,6 @@
 """LAMMPS/ReaxFF substrate: neighbor lists, divergent 4-body kernels, QEq."""
 
-from repro.md.lj import lj_forces, velocity_verlet, velocity_verlet_finish
+from repro.md.lj import lj_forces
 from repro.md.neighbor import (
     SimBox,
     brute_force_neighbors,
@@ -46,6 +46,4 @@ __all__ = [
     "torsion_forces_naive",
     "torsion_forces_preprocessed",
     "torsion_survivor_tuples",
-    "velocity_verlet",
-    "velocity_verlet_finish",
 ]

@@ -34,15 +34,3 @@ def lj_forces(x: np.ndarray, box: SimBox, neighbors: list[list[int]], *,
             forces[i] -= fmag * d
             forces[j] += fmag * d
     return energy, forces
-
-
-def velocity_verlet(x: np.ndarray, v: np.ndarray, forces: np.ndarray,
-                    dt: float, mass: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """First half of velocity Verlet: returns (x_new, v_half)."""
-    v_half = v + 0.5 * dt * forces / mass
-    return x + dt * v_half, v_half
-
-
-def velocity_verlet_finish(v_half: np.ndarray, forces_new: np.ndarray,
-                           dt: float, mass: float = 1.0) -> np.ndarray:
-    return v_half + 0.5 * dt * forces_new / mass

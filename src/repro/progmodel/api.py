@@ -115,10 +115,6 @@ class GpuRuntime:
         self._tick()
         return self.current_device.launch(kernel, stream=stream)
 
-    def launch_kernel_sync(self, kernel: KernelSpec, *, stream: Stream | None = None):
-        self._tick()
-        return self.current_device.launch_sync(kernel, stream=stream)
-
     # -- streams & events ------------------------------------------------------
 
     def stream_create(self) -> Stream:
@@ -160,7 +156,3 @@ class GpuRuntime:
     def elapsed(self) -> float:
         """Host wall time on the current device's clock."""
         return self.current_device.elapsed
-
-    def total_elapsed(self) -> float:
-        """Max host wall time across all devices."""
-        return max(d.elapsed for d in self.devices)

@@ -50,14 +50,6 @@ class CudaRuntime(GpuRuntime):
     def cudaMemcpyDeviceToHost(self, handle: MemHandle, nbytes: int | None = None) -> float:  # noqa: N802
         return self.memcpy_d2h(handle, nbytes)
 
-    def cudaMemcpyAsync(self, handle: MemHandle, nbytes: int | None = None, *,
-                        direction: str = "h2d", stream: Stream | None = None) -> float:  # noqa: N802
-        if direction == "h2d":
-            return self.memcpy_h2d(handle, nbytes, stream=stream, sync=False)
-        if direction == "d2h":
-            return self.memcpy_d2h(handle, nbytes, stream=stream, sync=False)
-        raise GpuApiError(f"unknown memcpy direction {direction!r}")
-
     # Execution ------------------------------------------------------------------
     def cudaLaunchKernel(self, kernel: KernelSpec, *, stream: Stream | None = None):  # noqa: N802
         return self.launch_kernel(kernel, stream=stream)

@@ -59,9 +59,6 @@ class HipRuntime(GpuRuntime):
     def hipSetDevice(self, device_id: int) -> None:  # noqa: N802 (C API names)
         self.set_device(device_id)
 
-    def hipGetDevice(self) -> int:  # noqa: N802
-        return self.get_device()
-
     def hipGetDeviceCount(self) -> int:  # noqa: N802
         return self.get_device_count()
 
@@ -77,14 +74,6 @@ class HipRuntime(GpuRuntime):
 
     def hipMemcpyDeviceToHost(self, handle: MemHandle, nbytes: int | None = None) -> float:  # noqa: N802
         return self.memcpy_d2h(handle, nbytes)
-
-    def hipMemcpyAsync(self, handle: MemHandle, nbytes: int | None = None, *,
-                       direction: str = "h2d", stream: Stream | None = None) -> float:  # noqa: N802
-        if direction == "h2d":
-            return self.memcpy_h2d(handle, nbytes, stream=stream, sync=False)
-        if direction == "d2h":
-            return self.memcpy_d2h(handle, nbytes, stream=stream, sync=False)
-        raise GpuApiError(f"unknown memcpy direction {direction!r}")
 
     # Execution ------------------------------------------------------------------
     def hipLaunchKernel(self, kernel: KernelSpec, *, stream: Stream | None = None):  # noqa: N802

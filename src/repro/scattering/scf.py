@@ -30,11 +30,6 @@ class ScfHistory:
     def iterations(self) -> int:
         return len(self.residuals)
 
-    @property
-    def converged_monotonically(self) -> bool:
-        r = self.residuals
-        return all(a >= b for a, b in zip(r[2:], r[3:]))  # after settling
-
 
 @dataclass
 class ScfResult:

@@ -72,9 +72,6 @@ class FairShareLedger:
             raise FairShareError("cannot charge negative usage")
         self._usage[tenant] = (self.usage(tenant, now) + node_seconds, now)
 
-    def tenants(self) -> tuple[str, ...]:
-        return tuple(sorted(self._usage))
-
     # -- ordering ------------------------------------------------------------
 
     def effective_priority(self, job: Job, now: float) -> float:

@@ -119,11 +119,6 @@ class Job:
     def est_step_cost(self) -> float:
         return self.template.est_step_cost
 
-    @property
-    def work(self) -> float:
-        """Raw useful work: simulated seconds of failure-free stepping."""
-        return self.nsteps * self.est_step_cost
-
     def make_app(self) -> SteppedApp:
         return self.template.make_app(self.app_seed)
 
@@ -138,11 +133,6 @@ class Job:
         if self.start_time is None or self.end_time is None:
             return None
         return self.end_time - self.start_time
-
-    def describe(self) -> str:
-        return (f"job {self.job_id} [{self.tenant}/{self.template.name}] "
-                f"{self.nodes}n x {self.nsteps} steps "
-                f"(~{self.walltime_estimate:.1f}s est) -> {self.state.value}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from repro.similarity.ccc import (
     cooccurrence_counts,
     cooccurrence_counts_bruteforce,
     cooccurrence_counts_gemm,
-    one_hot,
     random_allele_data,
 )
 from repro.similarity.gemmtally import (
@@ -36,8 +35,6 @@ from repro.similarity.threeway import (
     threeway_counts,
     threeway_counts_bruteforce,
     threeway_counts_gemm,
-    threeway_gemm_flops,
-    threeway_kernel_spec,
     threeway_metric,
     threeway_similarity,
 )
@@ -56,7 +53,6 @@ __all__ = [
     "einsum_tallies_3way",
     "gemm_tally_kernel_spec",
     "gemmtally_kernel_specs",
-    "one_hot",
     "pack_alleles",
     "pack_kernel_spec",
     "popcount_tallies_2way",
@@ -67,8 +63,6 @@ __all__ = [
     "threeway_counts",
     "threeway_counts_bruteforce",
     "threeway_counts_gemm",
-    "threeway_gemm_flops",
-    "threeway_kernel_spec",
     "threeway_metric",
     "threeway_similarity",
 ]

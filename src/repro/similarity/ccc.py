@@ -39,15 +39,6 @@ def random_allele_data(n_vectors: int, n_fields: int, *, seed: int = 0) -> np.nd
     return rng.integers(0, N_STATES, size=(n_vectors, n_fields), dtype=np.int8)
 
 
-def one_hot(data: np.ndarray) -> np.ndarray:
-    """One-hot encode to shape (n_vectors, N_STATES, n_fields)."""
-    n, m = data.shape
-    out = np.zeros((n, N_STATES, m), dtype=np.float64)
-    for s in range(N_STATES):
-        out[:, s, :] = data == s
-    return out
-
-
 def cooccurrence_counts_gemm(data: np.ndarray, *, fp16: bool = False,
                              int8: bool = False) -> np.ndarray:
     """All-pairs co-occurrence counts via one batched GEMM contraction.

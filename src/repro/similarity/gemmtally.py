@@ -64,14 +64,6 @@ class PackedAlleles:
     n_fields: int
 
     @property
-    def n_vectors(self) -> int:
-        return self.words.shape[0]
-
-    @property
-    def n_states(self) -> int:
-        return self.words.shape[1]
-
-    @property
     def n_words(self) -> int:
         return self.words.shape[2]
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gpu.kernel import KernelSpec
-from repro.hardware.gpu import Precision
 from repro.similarity import gemmtally
 from repro.similarity.ccc import N_STATES
 
@@ -86,29 +84,3 @@ def threeway_similarity(data: np.ndarray, *, use_gemm_tally: bool = True,
     else:
         counts = threeway_counts_bruteforce(data)
     return threeway_metric(counts, data.shape[1])
-
-
-def threeway_gemm_flops(n_vectors: int, n_fields: int) -> float:
-    """FLOPs: per state triple one (n²×m)·(m×n) GEMM, plus the Hadamard
-    pair-plane products."""
-    gemms = N_STATES**3 * 2.0 * float(n_vectors) ** 3 * n_fields
-    hadamard = N_STATES**2 * float(n_vectors) ** 2 * n_fields
-    return gemms + hadamard
-
-
-def threeway_kernel_spec(n_vectors: int, n_fields: int, *,
-                         efficiency: float = 0.45) -> KernelSpec:
-    """The 3-way pass as one aggregate launch (mixed FP16/FP32)."""
-    itemsize = 2
-    return KernelSpec(
-        name=f"ccc3_{n_vectors}x{n_fields}",
-        flops=threeway_gemm_flops(n_vectors, n_fields) / efficiency,
-        bytes_read=float(n_vectors * N_STATES * n_vectors * n_fields * itemsize),
-        bytes_written=float(N_STATES**3 * n_vectors**3 * 4),
-        threads=max(n_vectors**2, 64),
-        precision=Precision.FP16,
-        uses_matrix_engine=True,
-        registers_per_thread=128,
-        lds_per_workgroup=16 * 1024,
-        workgroup_size=256,
-    )

@@ -1,17 +1,22 @@
 """End-to-end tests: the experiment harnesses reproduce the paper."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.motifs import TABLE1_EXPECTED, PortingMotif
 from repro.experiments import (
     ALL_CLAIMS,
-    full_report,
     run_figure1,
     run_figure2,
     run_intext,
     run_table1,
     run_table2,
 )
+from repro.experiments.runner import full_report
 
 
 class TestFigure1:
@@ -146,6 +151,18 @@ class TestFullReport:
         assert "Table 2" in text
         assert "Figure 2" in text
         assert "MISS" not in text
+
+    def test_package_import_leaves_runner_unloaded(self):
+        """``python -m repro.experiments.runner`` warns when importing the
+        package has already loaded the runner module."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.experiments; "
+             "print('repro.experiments.runner' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.stdout.strip() == "False"
 
 
 class TestDashboard:

@@ -1,5 +1,5 @@
 """Tests for the extension modules: refluxing, R2C FFT, APSP paths,
-OpenACC, the profiler/compiler tooling, 3-way CCC, SPH, training guides."""
+OpenACC, the profiler/compiler tooling, 3-way CCC, SPH."""
 
 import networkx as nx
 import numpy as np
@@ -7,14 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.amr import FluxRegister, TwoLevelAdvection
-from repro.core import (
-    TRAINING_CATALOG,
-    TopicArea,
-    generate_quick_start_guide,
-    seed_paper_lessons,
-    topics_by_area,
-)
-from repro.core.lessons import Channel
 from repro.gpu import (
     KernelSpec,
     MathLibrary,
@@ -28,7 +20,6 @@ from repro.graph import (
     floyd_warshall_with_paths,
     generate_knowledge_graph,
 )
-from repro.hardware import CRUSHER, FRONTIER, SPOCK
 from repro.hardware.gpu import MI250X_GCD, V100
 from repro.hardware.interconnect import SLINGSHOT_11
 from repro.particles import (
@@ -400,38 +391,6 @@ class TestSph:
             uniform_lattice(1, 1.0)
         with pytest.raises(ValueError):
             cubic_spline_kernel(np.array([1.0]), 0.0)
-
-
-class TestTraining:
-    def test_catalog_covers_paper_topics(self):
-        titles = " ".join(t.title for t in TRAINING_CATALOG)
-        for phrase in ("atomics", "Register spilling", "launch latencies",
-                       "SGEMM/DGEMM", "Infinity Fabric", "HIPifying",
-                       "NUMA"):
-            assert phrase in titles
-
-    def test_topics_by_area(self):
-        hw = topics_by_area(TopicArea.HARDWARE)
-        assert all(t.area is TopicArea.HARDWARE for t in hw)
-        assert len(hw) >= 3
-
-    def test_quick_start_guide_for_early_system(self):
-        kb = seed_paper_lessons()
-        # promote one lesson into the guide
-        kb.disseminate(0, Channel.USER_GUIDE)
-        guide = generate_quick_start_guide(SPOCK, kb)
-        assert "Spock Quick-Start Guide" in guide
-        assert "MI100" in guide
-        assert "not MI250X" in guide  # the difference-from-Frontier section
-        assert "HIP API coverage" in guide  # the promoted lesson
-
-    def test_frontier_guide_has_no_differences(self):
-        guide = generate_quick_start_guide(FRONTIER, seed_paper_lessons())
-        assert "production node architecture" in guide
-
-    def test_crusher_converges(self):
-        guide = generate_quick_start_guide(CRUSHER, seed_paper_lessons())
-        assert "1.0 / 1.0" in guide
 
 
 class TestTraceExport:

@@ -1,10 +1,9 @@
-"""Tests for the Euler/Cholla, LSMS SCF, scaling-law and roofline additions."""
+"""Tests for the Euler, LSMS SCF, scaling-law and roofline additions."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps import cholla
 from repro.core import (
     amdahl_speedup,
     fit_amdahl,
@@ -70,25 +69,6 @@ class TestEuler1D:
             s.step(cfl=1.5)
         with pytest.raises(ValueError):
             s.run_until(-1.0)
-
-
-class TestChollaApp:
-    def test_single_source_runs_on_both_vendors(self):
-        """§2.1: the code 'may remain in CUDA' yet run on AMD."""
-        v = cholla.run_sod(V100, n_cells=200)
-        m = cholla.run_sod(MI250X_GCD, n_cells=200)
-        assert v.backend == "cuda"
-        assert m.backend == "hip"
-        # identical physics regardless of vendor
-        for key in v.plateau:
-            assert v.plateau[key] == pytest.approx(m.plateau[key], rel=1e-12)
-        assert v.mass_error < 1e-12
-
-    def test_hydro_speedup_tracks_bandwidth_ratio(self):
-        """First-order hydro is memory-bound: ratio ≈ HBM bandwidths."""
-        s = cholla.speedup()
-        bw_ratio = MI250X_GCD.effective_bandwidth / V100.effective_bandwidth
-        assert s == pytest.approx(bw_ratio, rel=0.15)
 
 
 class TestScfLoop:

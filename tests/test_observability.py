@@ -348,3 +348,18 @@ class TestTracingIsObservationOnly:
         # and the side artifact is a valid multi-subsystem trace
         data = validate_chrome_trace(trace_path.read_text())
         assert len(subsystems_in_trace(data)) >= 4
+
+
+class TestPerfbenchTargets:
+    def test_every_layer_target_resolves(self, monkeypatch):
+        """Each perfbench trace target names a function that still exists;
+        a moved or deleted one would drop its layer from traced runs."""
+        import importlib
+        from pathlib import Path
+
+        perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        layers = importlib.import_module("layers")
+        missing = [t.path for t in layers.TARGETS
+                   if layers._resolve(t.path) is None]
+        assert missing == []

@@ -3,7 +3,6 @@ the event engine, and the standalone-vs-service bit-identity contract."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
