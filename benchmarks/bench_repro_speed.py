@@ -10,6 +10,8 @@ measures the code:
   ignition field;
 * the CoMet 2-way CCC tallies: the naive O(n²·m) Python pair loop
   against the bit-packed popcount engine (integer exact);
+* the CoMet 3-way CCC tallies: the naive O(n³·m) Python triple loop
+  against the bit-packed popcount engine (integer exact);
 * the ExaSky/PM pairwise short-range forces: the per-pair Python loop
   against the triangular-index broadcast sweep.
 
@@ -34,6 +36,8 @@ from repro.similarity import (
     cooccurrence_counts_bruteforce,
     random_allele_data,
     tally_2way,
+    tally_3way,
+    threeway_counts_bruteforce,
 )
 
 REPEATS = 5
@@ -76,6 +80,14 @@ def _comet_ccc(popcount: bool) -> Timed:
     return lambda: _timed(lambda: cooccurrence_counts_bruteforce(data))
 
 
+def _comet_ccc3(popcount: bool) -> Timed:
+    """3-way tallies of 10 vectors over 64 fields."""
+    data = random_allele_data(10, 64, seed=0)
+    if popcount:
+        return lambda: _timed(lambda: tally_3way(data, method="popcount"))
+    return lambda: _timed(lambda: threeway_counts_bruteforce(data))
+
+
 def _pm_pairwise(vectorized: bool) -> Timed:
     """Short-range forces among 400 particles in the unit box."""
     rng = np.random.default_rng(0)
@@ -89,6 +101,7 @@ def _pm_pairwise(vectorized: bool) -> Timed:
 CASES: dict[str, tuple[Timed, Timed, float, float]] = {
     "reacting_flow": (_reacting_flow(False), _reacting_flow(True), 3.0, 1e-6),
     "comet_ccc": (_comet_ccc(False), _comet_ccc(True), 10.0, 0.0),
+    "comet_ccc3": (_comet_ccc3(False), _comet_ccc3(True), 10.0, 0.0),
     "pm_pairwise": (_pm_pairwise(False), _pm_pairwise(True), 10.0, 1e-9),
 }
 

@@ -7,12 +7,6 @@ from repro.experiments.earlyaccess import (
     spock_scaling_study,
 )
 from repro.experiments.figure1 import Figure1Result, run_figure1
-from repro.experiments.figure2 import (
-    Figure2MeasuredResult,
-    Figure2Result,
-    run_figure2,
-    run_figure2_measured,
-)
 from repro.experiments.intext import ALL_CLAIMS, IntextResult, run_intext
 from repro.experiments.resilience_at_scale import (
     DalySweepResult,
@@ -51,8 +45,6 @@ __all__ = [
     "Figure1Result",
     "DalySweepResult",
     "DalyValidationPoint",
-    "Figure2MeasuredResult",
-    "Figure2Result",
     "NodeOverheadPoint",
     "OverheadCurveResult",
     "GamessStrongScaling",
@@ -70,8 +62,6 @@ __all__ = [
     "weak_scaling_curve",
     "run_daly_sweep",
     "run_figure1",
-    "run_figure2",
-    "run_figure2_measured",
     "run_intext",
     "run_overhead_curve",
     "run_table1",

@@ -11,6 +11,14 @@ formulations of that move:
   indicator row is packed 64 fields per ``uint64`` word; the (s, t) tally
   matrix is ``popcount(A_s[i] & A_t[j])`` summed over words.  Integer
   exact by construction, with a 64× data compression over one-hot bytes.
+  The sweeps run in the *occupancy basis* X₀ = ``occ`` (the fields a
+  vector does not miss), X_s = P_s for s ≥ 1: state 0 is
+  ``occ − Σ_{s≥1} P_s``, so one in-place inclusion–exclusion per state
+  axis turns the basis tallies into state tallies, and a complete
+  vector's ``occ`` is the ``n_fields`` mask, whose X₀ terms reduce to
+  lower-order tallies.  A block without missing fields therefore sweeps
+  (S − 1)² plane pairs (2-way) or (S − 1)³ plane triples (3-way, plus
+  one (S − 1)-plane 2-way Gram) where the state tallies have S² and S³.
 * **batched einsum/matmul contractions** (the FP16/Int8 tensor-core GEMM):
   the (S, n, m) one-hot stack contracts in ONE batched matmul to the full
   (S, S, n, n) tally tensor — one fused contraction per state pair, never
@@ -20,7 +28,8 @@ The 3-way CCC tallies factor the same way: for each state triple
 (s, t, u) the count tensor is ``Σ_m A_s[i,m]·A_t[j,m]·A_u[k,m]``, computed
 as one (n²×m)·(m×n) GEMM on the Hadamard pair plane (the masked-GEMM
 batching CoMet uses to map 3-way metrics onto matrix engines) or as a
-three-operand popcount sweep on the packed words.
+three-operand popcount sweep on the packed words (again in the
+occupancy basis).
 
 Fields whose value falls outside ``[0, n_states)`` are treated as missing
 (CoMet's sparse-input handling): they belong to no state plane and are
@@ -102,19 +111,15 @@ popcount_words = getattr(np, "bitwise_count", _popcount_words_lut)
 _SWEEP_BUDGET = 1 << 18
 
 
-def popcount_tallies_2way(packed: PackedAlleles) -> np.ndarray:
-    """All-pairs 2-way tallies by popcount-on-AND word sweeps.
+def _sweep_gram(flat: np.ndarray) -> np.ndarray:
+    """Symmetric popcount Gram matrix ``popcount(flat[r] & flat[q])``.
 
-    Returns int64 ``counts[s, t, i, j]`` = #fields with vector i in state s
-    and vector j in state t.  The (n·S) word planes form one symmetric
-    row-pair matrix; its upper triangle is swept in row blocks (every
-    state pair at once) and each block is mirrored into the lower
-    triangle.  Integer exact.
+    Sweeps the upper triangle of the (N, N) row-pair matrix in row blocks
+    (each block against every row at or below its first row, words
+    chunked to the sweep budget) and mirrors each block with ``.T``.
+    The 2-way kernel sweeps one Gram, the 3-way kernel one per pivot row.
     """
-    words = packed.words
-    n, S, W = words.shape
-    N = n * S
-    flat = words.reshape(N, W)
+    N, W = flat.shape
     counts = np.empty((N, N), dtype=np.int64)
     r0 = 0
     while r0 < N:
@@ -131,42 +136,109 @@ def popcount_tallies_2way(packed: PackedAlleles) -> np.ndarray:
         counts[r0:r1, r0:] = blk
         counts[r0:, r0:r1] = blk.T
         r0 = r1
-    return np.ascontiguousarray(
-        counts.reshape(n, S, n, S).transpose(1, 3, 0, 2))
+    return counts
+
+
+def _occupancy_basis(packed: PackedAlleles) -> tuple[np.ndarray, list]:
+    """The word rows a tally sweep needs, and where each basis plane sits.
+
+    The occupancy basis is X₀ = ``occ`` (the OR of the state planes: the
+    fields a vector does not miss) and X_s = P_s for s ≥ 1.  Returns
+    ``rows`` = [U, P₁ rows, …, P_{S−1} rows, occ rows of the incomplete
+    vectors], where U is the ``n_fields`` mask, and one selector per
+    basis plane that picks plane a's row for vectors 0..n−1 from an axis
+    of the row Gram/triple tensor.  A complete vector's ``occ`` is U, so
+    its X₀ row is the shared row 0: ``popcount(U & Y) = popcount(Y)``
+    turns every X₀ term of a complete vector into a lower-order tally
+    (down to ``n_fields`` itself), and only the S − 1 state planes plus
+    the incomplete vectors' ``occ`` rows are swept.
+    """
+    words = packed.words
+    n, S, W = words.shape
+    m = packed.n_fields
+    full = np.zeros(W, dtype=np.uint64)
+    full[:m // WORD_BITS] = ~np.uint64(0)
+    if m % WORD_BITS:
+        full[m // WORD_BITS] = (1 << (m % WORD_BITS)) - 1
+    occ = np.bitwise_or.reduce(words, axis=1)  # (n, W)
+    incomplete = np.flatnonzero((occ != full).any(axis=1))
+    planes = words[:, 1:].transpose(1, 0, 2).reshape((S - 1) * n, W)
+    rows = np.concatenate([full[None], planes, occ[incomplete]])
+    if len(incomplete):
+        x0 = np.zeros(n, dtype=np.intp)
+        x0[incomplete] = 1 + (S - 1) * n + np.arange(len(incomplete))
+    else:
+        x0 = slice(0, 1)  # every vector's X₀ row is U: broadcast it
+    return rows, [x0] + [slice(1 + s * n, 1 + (s + 1) * n)
+                         for s in range(S - 1)]
+
+
+def _basis_to_states(counts: np.ndarray, ways: int) -> np.ndarray:
+    """Occupancy-basis tallies → state tallies, in place.
+
+    P₀ = X₀ − Σ_{s≥1} X_s, and the tallies are linear in each plane, so
+    one inclusion–exclusion per state axis (``c[0] -= c[1:].sum(0)``,
+    subtracted plane by plane to skip the strided reduction) converts the
+    basis tensor to the state tensor, integer exact.
+    """
+    for ax in range(ways):
+        head = (slice(None),) * ax
+        for s in range(1, counts.shape[0]):
+            counts[head + (0,)] -= counts[head + (s,)]
+    return counts
+
+
+def popcount_tallies_2way(packed: PackedAlleles) -> np.ndarray:
+    """All-pairs 2-way tallies by popcount-on-AND word sweeps.
+
+    Returns int64 ``counts[s, t, i, j]`` = #fields with vector i in state s
+    and vector j in state t.  The sweep runs in the occupancy basis
+    (:func:`_occupancy_basis`): one symmetric Gram of the S − 1 state
+    planes, the ``n_fields`` mask U and the incomplete vectors' occupancy
+    rows, so a block without missing fields sweeps (S − 1)² plane pairs
+    where the state tally has S².  The basis tallies are gathered from
+    the Gram and converted by inclusion–exclusion.  Integer exact.
+    """
+    n, S, _ = packed.words.shape
+    rows, sel = _occupancy_basis(packed)
+    gram = _sweep_gram(rows)
+    counts = np.empty((S, S, n, n), dtype=np.int64)
+    for a in range(S):
+        for b in range(S):
+            counts[a, b] = gram[sel[a]][:, sel[b]]
+    return _basis_to_states(counts, 2)
 
 
 def popcount_tallies_3way(packed: PackedAlleles) -> np.ndarray:
     """All-triples 3-way tallies by three-operand popcount sweeps.
 
     Returns int64 ``counts[s, t, u, i, j, k]``, the full dense tensor.
-    Loops a pivot vector i, does one (S, S, S, n−i, n−i, W) AND+popcount
-    sweep over the simplex j, k ≥ i, and copies it into the three index
-    rotations that put i first, so a triple of distinct vectors is swept
-    twice (j, k in either order) rather than six times.
+    The sweep runs over the occupancy-basis rows (:func:`_occupancy_basis`)
+    and fills their fully symmetric triple tensor: a pivot row r loops
+    over the rows, the Gram of ``rows[r] & rows[r:]`` gives every triple
+    whose smallest row is r, and it is copied into the three rotations
+    that put r first.  The pivot U is the rows' 2-way Gram, which the
+    complete vectors' X₀ terms need.  A block without missing fields thus
+    sweeps (S − 1)³ plane triples (plus that one Gram) where the state
+    tally has S³; the basis tallies are gathered from the triple tensor
+    and converted by inclusion–exclusion.  Integer exact.
     """
-    words = packed.words
-    n, S, W = words.shape
+    n, S, _ = packed.words.shape
+    rows, sel = _occupancy_basis(packed)
+    N = len(rows)
+    triples = np.empty((N, N, N), dtype=np.int64)
+    for r in range(N):
+        T = _sweep_gram(rows[r] & rows[r:])
+        triples[r, r:, r:] = T
+        triples[r:, r:, r] = T
+        triples[r:, r, r:] = T
     counts = np.empty((S,) * 3 + (n,) * 3, dtype=np.int64)
-    planes = words.transpose(1, 0, 2)  # (S, n, W)
-    for i in range(n):
-        # T[s, t, u, j, k] for the pivot i and every j, k >= i
-        tail = planes[:, i:]
-        r = n - i
-        pair = tail[:, None, 0, None, :] & tail[None]  # (S, S, r, W)
-        jb = max(1, _SWEEP_BUDGET // (S**3 * r * W))
-        wb = max(1, _SWEEP_BUDGET // (S**3 * jb * r))
-        T = np.zeros((S,) * 3 + (r, r), dtype=np.int64)
-        for j0 in range(0, r, jb):
-            for w0 in range(0, W, wb):
-                tri = (pair[:, :, None, j0:j0 + jb, None, w0:w0 + wb]
-                       & tail[None, None, :, None, :, w0:w0 + wb])
-                T[:, :, :, j0:j0 + jb] += popcount_words(tri).sum(
-                    axis=-1, dtype=np.int64)
-        # the three rotations of (i, j, k) that put the pivot first
-        counts[..., i, i:, i:] = T
-        counts[..., i:, i:, i] = T.transpose(1, 2, 0, 3, 4)
-        counts[..., i:, i, i:] = T.transpose(2, 0, 1, 4, 3)
-    return counts
+    for a in range(S):
+        for b in range(S):
+            ab = triples[sel[a]][:, sel[b]]
+            for c in range(S):
+                counts[a, b, c] = ab[:, :, sel[c]]
+    return _basis_to_states(counts, 3)
 
 
 def _state_planes(data: np.ndarray, n_states: int, dtype) -> np.ndarray:

@@ -269,9 +269,9 @@ class TestTallyParity:
     def test_2way_word_block_chunking(self, monkeypatch):
         """A small sweep budget chunks both kernels and stays exact.
 
-        At 64 elements the 2-way sweep takes one row per block and splits
-        its words, and the 3-way sweep takes one j row and one word per
-        block; at 512 the 2-way row blocks hold several full-width rows.
+        At 64 elements every Gram sweep (the 2-way one and each 3-way
+        pivot's) takes one row per block, and the widest split their
+        words; at 512 the row blocks hold several full-width rows.
         """
         rng = _rng(14)
         data = rng.integers(0, 2, size=(8, 64 * 7 + 3))
@@ -317,14 +317,26 @@ def test_tally_2way_parity_property(n, m, n_states, seed):
 
 @st.composite
 def _allele_planes(draw):
-    """Packed planes for n in 1..9, S in 1..3, m in 1..200, with missing
-    values (-1 and S fall outside every state) and, sometimes, one vector
-    whose fields are all missing."""
+    """Packed planes for n in 1..9, S in 1..3 and m in 1..200 or on a word
+    boundary (63, 64, 65, 128), mixing complete and incomplete vectors.
+
+    A missing-field density (0 included) is drawn for the block and each
+    vector is complete or not on its own coin; missing values are -1 or
+    S, outside every state.  Some vectors are constant (all state 0 or
+    all state S − 1) and, sometimes, one has every field missing.
+    """
     n = draw(st.integers(1, 9))
     n_states = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 200))
+    m = draw(st.one_of(st.sampled_from([63, 64, 65, 128]),
+                       st.integers(1, 200)))
+    density = draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))
     rng = _rng(draw(st.integers(0, 2**31 - 1)))
-    data = rng.integers(-1, n_states + 1, size=(n, m))
+    data = rng.integers(0, n_states, size=(n, m))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        data[i] = draw(st.sampled_from([0, n_states - 1]))
+    gaps = ((rng.random((n, m)) < density)
+            & (rng.random((n, 1)) < draw(st.sampled_from([0.0, 0.5, 1.0]))))
+    data[gaps] = rng.choice([-1, n_states], size=int(gaps.sum()))
     missing = draw(st.one_of(st.none(), st.integers(0, n - 1)))
     if missing is not None:
         data[missing] = -1

@@ -11,11 +11,11 @@ from repro.core.motifs import TABLE1_EXPECTED, PortingMotif
 from repro.experiments import (
     ALL_CLAIMS,
     run_figure1,
-    run_figure2,
     run_intext,
     run_table1,
     run_table2,
 )
+from repro.experiments.figure2 import run_figure2
 from repro.experiments.runner import full_report
 
 
@@ -153,16 +153,17 @@ class TestFullReport:
         assert "MISS" not in text
 
     def test_package_import_leaves_runner_unloaded(self):
-        """``python -m repro.experiments.runner`` warns when importing the
-        package has already loaded the runner module."""
+        """``python -m repro.experiments.runner`` (and ``.figure2``) warns
+        when importing the package has already loaded that module."""
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, repro.experiments; "
-             "print('repro.experiments.runner' in sys.modules)"],
+             "print('repro.experiments.runner' in sys.modules, "
+             "'repro.experiments.figure2' in sys.modules)"],
             capture_output=True, text=True, check=True,
             env=dict(os.environ, PYTHONPATH=str(src)))
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
 
 
 class TestDashboard:

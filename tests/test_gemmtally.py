@@ -20,6 +20,7 @@ from repro.similarity import (
     cooccurrence_counts,
     cooccurrence_counts_bruteforce,
     einsum_tallies_2way,
+    einsum_tallies_3way,
     pack_alleles,
     popcount_tallies_2way,
     random_allele_data,
@@ -166,7 +167,20 @@ class TestOutputContract:
             axes = perm + tuple(3 + p for p in perm)
             assert np.array_equal(c3.transpose(axes), c3), perm
 
+    def test_3way_matches_einsum(self, tallies):
+        """The swept 3-way tensor against the independent one-hot GEMMs."""
+        data, _, c3 = tallies
+        assert np.array_equal(c3, einsum_tallies_3way(data))
+
     def test_3way_marginal_is_the_2way_tally(self, tallies):
+        """Σ_u of the 3-way tally is the 2-way tally for every k.
+
+        This holds by construction of the popcount kernel: the 3-way
+        tensor is derived from a sweep whose U pivot *is* the 2-way row
+        Gram, so the identity pins the derivation and the 2-way tally
+        against einsum, not the swept triples (``test_3way_matches_einsum``
+        checks those).
+        """
         data, c2, c3 = tallies
         assert np.array_equal(c2, einsum_tallies_2way(data))
         assert (c3.sum(axis=2) == c2[..., None]).all()
